@@ -5,7 +5,8 @@ the *simulator* over a fixed serving scenario — events per wall-second,
 served requests per wall-second, the sim-time speedup ratio, and where the
 wall clock goes (storage reads, batch pricing, backbone execution,
 observer dispatch).  Besides the usual text table it records the numbers
-to ``benchmarks/output/sim_speed.json``.
+to ``benchmarks/output/sim_speed.json`` (host wall-clock output, rewritten
+on every run and not tracked).
 
 Two committed references frame the results:
 

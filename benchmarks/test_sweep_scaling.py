@@ -4,8 +4,10 @@ Runs one 2x2 override grid twice through the sweep runner — ``workers=1``
 (the historical in-process path) and a multiprocessing pool sized to the
 machine — asserts the combined results tables are identical, and records
 both wall-clocks plus the speedup ratio to
-``benchmarks/output/sweep_scaling.json`` (same machine-readable-baseline
-style as ``sim_speed.json``).  ``cpu_count`` is recorded alongside because
+``benchmarks/output/sweep_scaling.json``.  That file is host wall-clock
+output, rewritten on every run and not tracked; the committed speed
+references are ``benchmarks/baseline.json`` and the ``benchmarks/perf/``
+harness.  ``cpu_count`` is recorded alongside because
 the ratio is only meaningful relative to the cores available: on a
 single-core container the pool cannot beat serial and the ratio documents
 that, it does not fail the run.

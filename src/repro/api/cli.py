@@ -318,7 +318,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     # means the file is parsed a single time.
     process = engine.build_arrivals()
     count = args.num_requests or len(process.load_records())
-    report = engine.serve(process.trace(engine.build_store().keys(), count))
+    report = engine.serve(process.stream(engine.build_store().keys(), count))
     if args.json:
         print(report.to_json())
         return 0

@@ -648,10 +648,6 @@ class ServingConfig(_DictMixin):
     (each with its own cache, worker pool and control-plane policies)
     behind a key router.  An optional ``observability`` section attaches
     the telemetry pipeline (absent = telemetry off, zero overhead).
-
-    ``fast_core`` (default on) runs the vectorized event-loop fast path;
-    it never changes a reported value — the golden-parity suite pins the
-    two paths byte-identical — so ``false`` exists for differential runs.
     """
 
     arrivals: ArrivalsConfig = field(default_factory=ArrivalsConfig)
@@ -666,7 +662,6 @@ class ServingConfig(_DictMixin):
     prefetch: PrefetchConfig | None = None
     fleet: FleetConfig | None = None
     observability: ObservabilityConfig | None = None
-    fast_core: bool = True
 
     def __post_init__(self) -> None:
         _require(self.num_requests > 0, "serving.num_requests must be positive")

@@ -221,7 +221,6 @@ class Engine:
             max_wait_s=serving.max_wait_s,
             scale_model_seconds=serving.scale_model_seconds,
             crop_ratio=self.config.crop_ratio,
-            fast_core=serving.fast_core,
         )
         return InferenceServer(
             self.build_store(),
@@ -374,18 +373,16 @@ class Engine:
     def build_trace(self) -> Sequence[Request] | ClosedLoopClients:
         """The configured traffic: a pre-generated trace, or closed-loop clients.
 
-        With ``serving.fast_core`` on, open-loop traffic comes back as a
-        columnar :class:`~repro.serving.workload.ArrivalStream` (still a
-        ``Sequence[Request]``, value-identical to the object trace) so the
-        server's cursor merge and the fleet's index partition apply.
+        Open-loop traffic comes back as a columnar
+        :class:`~repro.serving.workload.ArrivalStream` (still a
+        ``Sequence[Request]``), so the server's cursor merge and the fleet's
+        index partition apply.
         """
         serving = self._serving_section()
         process = self.build_arrivals(serving)
         if isinstance(process, ClosedLoopClients):
             return process
-        if serving.fast_core:
-            return process.stream(self.build_store().keys(), serving.num_requests)
-        return process.trace(self.build_store().keys(), serving.num_requests)
+        return process.stream(self.build_store().keys(), serving.num_requests)
 
     def _serving_section(self):
         if self.config.serving is None:

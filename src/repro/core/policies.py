@@ -32,13 +32,13 @@ class ResolutionPolicy:
         """Like :meth:`select`, with a memoization hint from the caller.
 
         ``token`` is an opaque hashable key under which the *image* is
-        reproducible — the serving fast core passes ``(key, scans_read)``,
+        reproducible — the serving event loop passes ``(key, scans_read)``,
         because decoding the same scan prefix of the same stored object
         always yields the same pixels.  Policies whose per-image choice is
         a pure function of the pixels may cache per token; policies with
         request-dependent state (e.g. load-adaptive degradation) must keep
         that state out of the memo.  The default just delegates, so the
-        fast core can call this unconditionally on any policy.
+        event loop can call this unconditionally on any policy.
         """
         return self.select(image)
 

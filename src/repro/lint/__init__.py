@@ -1,7 +1,7 @@
 """``repro lint``: a determinism & contract static analyzer for this repo.
 
 Every headline claim of the reproduction — record→replay byte-equality,
-golden parity of the fast core, ``workers=1`` pool equivalence — rests on
+golden parity of the event loop, ``workers=1`` pool equivalence — rests on
 invariants the test suite only checks *dynamically*, after a violation has
 already corrupted a run.  This package checks them *statically*, over the
 AST, at review time:
@@ -14,8 +14,7 @@ AST, at review time:
   knobs appear in the generated ``docs/reference.md``, example configs
   validate against the config schema, ``Report`` subclasses are
   kind-tagged frozen dataclasses;
-* **dual-core pairing** (:mod:`~repro.lint.pairing`) — every arrival
-  process keeps its ``trace()``/``stream()`` twins together, every
+* **event dispatch** (:mod:`~repro.lint.pairing`) — every
   ``ServerEvent`` subtype is accounted for at each exhaustive dispatch
   site.
 

@@ -1,7 +1,7 @@
 """Determinism rules: the invariants behind byte-identical reports.
 
 Every reproduction claim in this repo — record→replay equality, golden
-parity of the fast core, ``workers=1`` pool equivalence — assumes the
+parity of the event loop, ``workers=1`` pool equivalence — assumes the
 simulator is a pure function of its config and seeds.  These rules ban the
 three classic ways that assumption silently breaks:
 

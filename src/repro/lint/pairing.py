@@ -1,19 +1,14 @@
-"""Dual-core pairing rules: the scalar and vectorized paths must stay twins.
+"""Event-dispatch pairing: every event type reaches every exhaustive consumer.
 
-The fast core (PR 8) duplicates behaviour on purpose: every arrival
-process has an object ``trace()`` and a columnar ``stream()`` that must
-draw identical seeded values, and the event loop's elision/emission sites
-plus the telemetry folds must each account for every
-:class:`~repro.serving.events.ServerEvent` subtype.  Golden-parity tests
-catch divergence *dynamically* — but only for event/process types a pinned
-config exercises.  These rules re-state the pairing statically:
-
-* an :class:`~repro.serving.arrivals.ArrivalProcess` subclass that defines
-  one of ``trace()``/``stream()`` without the other has broken the pair
-  (the inherited half silently falls back to a different code path);
-* a ``ServerEvent`` subclass that a known exhaustive dispatch site never
-  mentions is invisible to that consumer — a new event type lands with
-  metrics, span trees, and the emission loop all updated, or not at all.
+The event loop narrates itself as frozen
+:class:`~repro.serving.events.ServerEvent` objects, and the loop's
+emission/elision sites plus the telemetry folds must each account for
+every subtype.  Golden-parity tests catch divergence *dynamically* — but
+only for event types a pinned config exercises.  This rule re-states the
+pairing statically: a ``ServerEvent`` subclass that a known exhaustive
+dispatch site never mentions is invisible to that consumer — a new event
+type lands with metrics, span trees, and the emission loop all updated,
+or not at all.
 """
 
 from __future__ import annotations
@@ -47,49 +42,6 @@ DISPATCH_SITES: tuple[tuple[str, tuple[str, str] | None, str], ...] = (
         "the span-tree fold",
     ),
 )
-
-
-@LINT_RULES.register("arrival-trace-stream-pair")
-class ArrivalPairingRule:
-    """ArrivalProcess subclasses must define trace() and stream() together.
-
-    ``stream()`` must reproduce ``trace()`` value-for-value from the same
-    seeded draws; a subclass overriding only one half leaves the other to
-    an inherited implementation with different RNG consumption — the exact
-    drift the golden-parity harness exists to prevent.  Subclasses
-    overriding *neither* (pure wrappers) are fine: they inherit a
-    consistent pair.
-    """
-
-    rule_id = "arrival-trace-stream-pair"
-    severity = "error"
-
-    def check(self, context: LintContext) -> Iterable[Finding]:
-        for module, node in context.subclasses_of("ArrivalProcess"):
-            defined = {
-                item.name
-                for item in node.body
-                if isinstance(item, ast.FunctionDef)
-            }
-            has_trace = "trace" in defined
-            has_stream = "stream" in defined
-            if has_trace == has_stream:
-                continue
-            present, missing = (
-                ("trace", "stream") if has_trace else ("stream", "trace")
-            )
-            yield Finding(
-                rule=self.rule_id,
-                severity=self.severity,
-                path=module.relpath,
-                line=node.lineno,
-                message=(
-                    f"ArrivalProcess subclass {node.name} defines "
-                    f"{present}() but not {missing}()"
-                ),
-                hint=f"add a value-identical {missing}() drawing the same "
-                "seeded RNG values in the same order (see docs/performance.md)",
-            )
 
 
 def _referenced_names(node: ast.AST) -> set[str]:

@@ -4,10 +4,10 @@ Everything else in the telemetry layer measures the *simulated* system;
 this module measures the *simulator* — how many events per second one
 process actually executes, and which component (storage reads, batch
 pricing, backbone execution, observer dispatch) eats the wall clock.
-That evidence base is what the ROADMAP's vectorize-the-event-loop item
-optimises against: ``benchmarks/test_sim_speed.py`` records
-:class:`ProfileStats` to ``benchmarks/output/sim_speed.json`` as the
-regression baseline.
+``benchmarks/test_sim_speed.py`` records :class:`ProfileStats` to the
+untracked, host-local ``benchmarks/output/sim_speed.json`` and gates it
+against the committed ``benchmarks/baseline.json``; ``benchmarks/perf/``
+times whole runs layer by layer.
 
 The :class:`Profiler` is deliberately lightweight: the event loop holds a
 ``profiler`` reference that is ``None`` unless profiling is on, so the

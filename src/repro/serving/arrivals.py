@@ -35,6 +35,7 @@ from repro.api.registry import ARRIVALS
 
 if TYPE_CHECKING:  # popularity imports the registry, not this module; no cycle
     from repro.serving.popularity import PopularityModel
+    from repro.serving.workload import ArrivalStream
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,19 @@ def sample_keys(
 
 
 class ArrivalProcess:
-    """Interface: produce a deterministic open-loop trace over store keys."""
+    """Interface: produce a deterministic open-loop trace over store keys.
 
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
+    :meth:`stream` is the one primitive a process implements; :meth:`trace`
+    is the same arrivals as ``Request`` objects.
+    """
+
+    def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
+        """The trace in columnar form (an ``ArrivalStream``)."""
         raise NotImplementedError
 
-    def stream(self, keys: Sequence[str], num_requests: int):
-        """The same trace in columnar form (an ``ArrivalStream``).
-
-        Value-identical to ``trace()`` arrival for arrival — subclasses that
-        override this to skip object materialization must draw the same
-        seeded RNG values in the same order.  The default simply
-        columnarizes ``trace()``, so every process supports both shapes.
-        """
-        # Local import: workload.py imports this module for the base class.
-        from repro.serving.workload import ArrivalStream
-
-        return ArrivalStream.from_requests(self.trace(keys, num_requests))
+    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
+        """The trace as ``Request`` objects, arrival for arrival."""
+        return list(self.stream(keys, num_requests))
 
 
 @ARRIVALS.register("poisson")
@@ -112,18 +109,8 @@ class PoissonArrivals(ArrivalProcess):
         if self.rate_rps <= 0:
             raise ValueError("arrival rate must be positive")
 
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
-        rng = np.random.default_rng(self.seed)
-        gaps = rng.exponential(1.0 / self.rate_rps, size=num_requests)
-        times = np.cumsum(gaps)
-        chosen = sample_keys(rng, keys, num_requests, self.zipf_alpha, self.popularity)
-        return [
-            Request(request_id=i, key=chosen[i], arrival_time=float(times[i]))
-            for i in range(num_requests)
-        ]
-
-    def stream(self, keys: Sequence[str], num_requests: int):
-        # Identical RNG draws to trace(), minus the per-arrival objects.
+    def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
+        # Local import: workload.py imports this module for the base class.
         from repro.serving.workload import ArrivalStream
 
         rng = np.random.default_rng(self.seed)
@@ -158,7 +145,11 @@ class OnOffArrivals(ArrivalProcess):
         if self.mean_on_s <= 0 or self.mean_off_s <= 0:
             raise ValueError("phase durations must be positive")
 
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
+    def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
+        # The phase walk is inherently sequential: each burst boundary
+        # depends on the previous draw.
+        from repro.serving.workload import ArrivalStream
+
         rng = np.random.default_rng(self.seed)
         times: list[float] = []
         clock = 0.0
@@ -177,18 +168,7 @@ class OnOffArrivals(ArrivalProcess):
             clock = phase_end
             on_phase = not on_phase
         chosen = sample_keys(rng, keys, num_requests, self.zipf_alpha, self.popularity)
-        return [
-            Request(request_id=i, key=chosen[i], arrival_time=times[i])
-            for i in range(num_requests)
-        ]
-
-    def stream(self, keys: Sequence[str], num_requests: int):
-        # The phase walk is inherently sequential (each burst boundary
-        # depends on the previous draw), so the columnar form is the object
-        # trace columnarized — byte-identical to trace(), by construction.
-        from repro.serving.workload import ArrivalStream
-
-        return ArrivalStream.from_requests(self.trace(keys, num_requests))
+        return ArrivalStream(np.array(times), chosen)
 
 
 @ARRIVALS.register("closed-loop")

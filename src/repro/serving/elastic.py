@@ -64,7 +64,7 @@ from repro.serving.fleet import (
     _merge_cache_stats,
     load_imbalance_factor,
 )
-from repro.serving.metrics import ServedRequest, build_report
+from repro.serving.metrics import RequestRecords, ServedRequest, build_report
 from repro.serving.server import InferenceServer
 
 #: Drop reason for arrivals that never found a live shard to serve them.
@@ -140,7 +140,7 @@ class _ShardState:
     prefetch_wasted: int = 0
 
     def __post_init__(self) -> None:
-        self.served: list[ServedRequest] = []
+        self.served = RequestRecords()
         self.cache_stats = CacheStats() if self.server.cache is not None else None
         self.base_bandwidth = self.server.bandwidth
 
@@ -152,7 +152,7 @@ class _ShardState:
         run too (residency does not), hence the field-wise accumulation.
         """
         server = self.server
-        self.served.extend(server.last_served)
+        self.served.extend(server.last_records)
         self.store_requests += server.store_requests
         self.degraded += report.degraded_requests
         self.dropped += report.dropped_requests
@@ -347,11 +347,12 @@ class ElasticFleet:
             state = live.pop(shard_id)
             self.router.remove_shard(shard_id)
             crashed_at[shard_id] = time
-            doomed = [r for r in state.served if r.completion_time > time]
-            state.served = [r for r in state.served if r.completion_time <= time]
+            in_flight = state.served.column("completion_times") > time
+            doomed = state.served.take(in_flight)
+            state.served = state.served.take(~in_flight)
             parked[shard_id] = state
-            for record in doomed:
-                pending.append(Request(record.request_id, record.key, time))
+            for request_id, key in zip(doomed.request_ids, doomed.keys):
+                pending.append(Request(request_id, key, time))
             pending.sort(key=lambda r: (r.arrival_time, r.request_id))
             failed_total += len(doomed)
             crash_rerouted += len(doomed)
@@ -438,10 +439,8 @@ class ElasticFleet:
             prev_time, prev_routed, prev_completed, prev_dropped = prev_epoch
             states = all_states().values()
             completed = sum(
-                1
+                int(np.count_nonzero(state.served.column("completion_times") <= time))
                 for state in states
-                for record in state.served
-                if record.completion_time <= time
             )
             dropped = sum(state.dropped for state in states)
             backlog = max(0, routed_total - completed - dropped - failed_total)
@@ -527,18 +526,18 @@ class ElasticFleet:
         base_bandwidth = states[min(states)].base_bandwidth
 
         shard_reports: list[ShardReport] = []
-        merged_served: list[ServedRequest] = []
+        merged = RequestRecords()
         cache_stats = []
         store_requests = degraded = dropped = 0
         prefetch_bytes = prefetch_hits = prefetch_wasted = 0
         for shard_id in sorted(states):
             state = states[shard_id]
-            merged_served.extend(state.served)
+            merged.extend(state.served)
             if state.offered == 0:
                 shard_reports.append(ShardReport(shard_id, 0, None))
                 continue
             shard_report = build_report(
-                sorted(state.served, key=lambda r: r.request_id),
+                state.served,
                 bandwidth=state.base_bandwidth,
                 store_requests=state.store_requests,
                 cache_stats=state.cache_stats,
@@ -560,9 +559,9 @@ class ElasticFleet:
             if state.cache_stats is not None:
                 cache_stats.append(state.cache_stats)
 
-        self.last_served = sorted(merged_served, key=lambda r: r.request_id)
+        self.last_served = sorted(merged.materialize(), key=lambda r: r.request_id)
         fleet = build_report(
-            self.last_served,
+            merged,
             bandwidth=base_bandwidth,
             store_requests=store_requests,
             cache_stats=_merge_cache_stats(cache_stats),

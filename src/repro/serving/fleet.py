@@ -475,7 +475,7 @@ class ShardedFleet:
         Routing is memoized per key (the ring hash is pure), and a columnar
         :class:`~repro.serving.workload.ArrivalStream` partitions into
         sub-streams by index — no per-request objects — so each shard's
-        fast core receives a cursor-mergeable stream.
+        event loop receives a cursor-mergeable stream.
         """
         route_of: dict[str, int] = {}
 
@@ -516,7 +516,9 @@ class ShardedFleet:
         self.last_telemetry = None
         pipelines = []
         shard_reports: list[ShardReport] = []
-        active_servers: list[InferenceServer] = []
+        # build_report sorts by request id, so concatenating the shards'
+        # records in shard order yields the fleet-wide statistics directly.
+        merged = RequestRecords()
         store_requests = 0
         degraded = 0
         dropped = 0
@@ -539,7 +541,7 @@ class ShardedFleet:
             if pipeline is not None:
                 pipelines.append(pipeline)
             shard_reports.append(ShardReport(shard_id, report.num_requests, report))
-            active_servers.append(server)
+            merged.extend(server.last_records)
             store_requests += server.store_requests
             degraded += report.degraded_requests
             dropped += report.dropped_requests
@@ -549,24 +551,8 @@ class ShardedFleet:
             if server.cache is not None:
                 cache_stats.append(server.cache.stats)
 
-        # Merge the shards' raw results.  When every active shard ran the
-        # fast core, concatenate their columnar records (build_report sorts
-        # by request id either way, so the fleet statistics are identical);
-        # any scalar-path shard falls the whole merge back to objects.
-        merged_served: "RequestRecords | list" = []
-        if active_servers and all(
-            server.last_records is not None for server in active_servers
-        ):
-            merged_served = RequestRecords()
-            for server in active_servers:
-                merged_served.extend(server.last_records)
-        else:
-            merged_served = []
-            for server in active_servers:
-                merged_served.extend(server.last_served)
-
         fleet = build_report(
-            merged_served,
+            merged,
             bandwidth=self.servers[0].bandwidth,
             store_requests=store_requests,
             cache_stats=_merge_cache_stats(cache_stats),

@@ -1,11 +1,11 @@
 """Per-run SLO reporting for the serving simulator.
 
-A serving run produces one :class:`ServedRequest` per completed request
-with its full timeline (arrival → ready → dispatch → completion) and byte
-provenance (store vs cache).  :func:`build_report` folds those into an
-:class:`SLOReport`: throughput, latency percentiles, batching behaviour,
-cache effectiveness, admission drops, prefetch payoff, bytes read versus
-the all-data baseline, and the dollar cost of the bytes actually moved
+A serving run records every completed request with its full timeline
+(arrival → ready → dispatch → completion) and byte provenance (store vs
+cache).  :func:`build_report` folds those into an :class:`SLOReport`:
+throughput, latency percentiles, batching behaviour, cache
+effectiveness, admission drops, prefetch payoff, bytes read versus the
+all-data baseline, and the dollar cost of the bytes actually moved
 (via :class:`~repro.storage.bandwidth.StorageBandwidthModel`, the paper's
 cloud-economics model).  Reports are plain frozen dataclasses so two
 deterministic runs can be compared with ``==``; they are also
@@ -13,12 +13,11 @@ deterministic runs can be compared with ``==``; they are also
 the unified ``to_dict``/``from_dict`` schema the CLI and sweeps share.
 
 Million-request runs cannot afford one Python object per completion, so
-the server's fast core accumulates the same fourteen fields columnar in a
-:class:`RequestRecords` (typed ``array`` columns, zero per-request object
-churn).  :func:`build_report` accepts either representation and computes
-every statistic with the exact same IEEE-754 operations in the exact same
-order, so the two paths produce byte-identical reports — the property the
-golden-parity suite pins.
+the server accumulates the fourteen fields of a :class:`ServedRequest`
+columnar in a :class:`RequestRecords` (typed ``array`` columns, zero
+per-request object churn), and :func:`build_report` folds the columns
+vectorized.  An object sequence is columnarized on entry, so there is one
+fold.
 
 An empty record list (every arrival dropped, or a zero-length run) is a
 well-defined report — zero requests, ``None`` percentiles — not an error:
@@ -30,7 +29,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import compress
+from typing import Iterable
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ServedRequest:
 
 
 class RequestRecords:
-    """Columnar accumulator for completed requests (the fast-core store).
+    """Columnar store of completed requests, the server's one record format.
 
     Holds the same fourteen fields as :class:`ServedRequest`, one typed
     ``array`` column per field instead of one frozen object per request —
@@ -84,9 +84,9 @@ class RequestRecords:
     dataclass instances.  ``label`` uses ``-1`` as the ``None`` sentinel
     (class labels are non-negative).
 
-    :func:`build_report` consumes the columns directly; :meth:`materialize`
-    rebuilds the equivalent :class:`ServedRequest` list for consumers that
-    want objects (tests, tracing assertions, the legacy fleet merge).
+    :func:`build_report` consumes the columns directly; indexing and
+    :meth:`materialize` rebuild :class:`ServedRequest` objects for
+    consumers that want them (events, tests, tracing assertions).
     """
 
     __slots__ = (
@@ -122,8 +122,55 @@ class RequestRecords:
         self.predictions = array("q")
         self.labels = array("q")
 
+    @classmethod
+    def from_served(cls, served: Iterable[ServedRequest]) -> "RequestRecords":
+        """Columnarize object records, in iteration order."""
+        records = cls()
+        for record in served:
+            records.append(
+                record.request_id,
+                record.key,
+                record.arrival_time,
+                record.ready_time,
+                record.dispatch_time,
+                record.completion_time,
+                record.resolution,
+                record.scans_read,
+                record.bytes_from_store,
+                record.bytes_from_cache,
+                record.total_bytes,
+                record.batch_size,
+                record.prediction,
+                record.label,
+            )
+        return records
+
     def __len__(self) -> int:
         return len(self.request_ids)
+
+    def __getitem__(self, index: int) -> ServedRequest:
+        label = self.labels[index]
+        return ServedRequest(
+            request_id=self.request_ids[index],
+            key=self.keys[index],
+            arrival_time=self.arrival_times[index],
+            ready_time=self.ready_times[index],
+            dispatch_time=self.dispatch_times[index],
+            completion_time=self.completion_times[index],
+            resolution=self.resolutions[index],
+            scans_read=self.scans_read[index],
+            bytes_from_store=self.bytes_from_store[index],
+            bytes_from_cache=self.bytes_from_cache[index],
+            total_bytes=self.total_bytes[index],
+            batch_size=self.batch_sizes[index],
+            prediction=self.predictions[index],
+            label=None if label < 0 else label,
+        )
+
+    def column(self, name: str) -> np.ndarray:
+        """A zero-copy numpy view of one numeric column."""
+        values = getattr(self, name)
+        return np.frombuffer(values, dtype=np.float64 if values.typecode == "d" else np.int64)
 
     def append(
         self,
@@ -158,63 +205,21 @@ class RequestRecords:
         self.predictions.append(prediction)
         self.labels.append(-1 if label is None else label)
 
-    def append_record(self, record: ServedRequest) -> None:
-        """Append an existing object record (used when merging mixed shards)."""
-        self.append(
-            record.request_id,
-            record.key,
-            record.arrival_time,
-            record.ready_time,
-            record.dispatch_time,
-            record.completion_time,
-            record.resolution,
-            record.scans_read,
-            record.bytes_from_store,
-            record.bytes_from_cache,
-            record.total_bytes,
-            record.batch_size,
-            record.prediction,
-            record.label,
-        )
-
     def extend(self, other: "RequestRecords") -> None:
-        """Concatenate another accumulator's columns onto this one."""
-        self.request_ids.extend(other.request_ids)
-        self.keys.extend(other.keys)
-        self.arrival_times.extend(other.arrival_times)
-        self.ready_times.extend(other.ready_times)
-        self.dispatch_times.extend(other.dispatch_times)
-        self.completion_times.extend(other.completion_times)
-        self.resolutions.extend(other.resolutions)
-        self.scans_read.extend(other.scans_read)
-        self.bytes_from_store.extend(other.bytes_from_store)
-        self.bytes_from_cache.extend(other.bytes_from_cache)
-        self.total_bytes.extend(other.total_bytes)
-        self.batch_sizes.extend(other.batch_sizes)
-        self.predictions.extend(other.predictions)
-        self.labels.extend(other.labels)
+        """Concatenate another store's columns onto this one."""
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(other, name))
+
+    def take(self, mask: np.ndarray) -> "RequestRecords":
+        """The records where ``mask`` is true, in append order."""
+        taken = RequestRecords()
+        for name in self.__slots__:
+            getattr(taken, name).extend(compress(getattr(self, name), mask))
+        return taken
 
     def materialize(self) -> list[ServedRequest]:
         """The equivalent :class:`ServedRequest` objects, in append order."""
-        return [
-            ServedRequest(
-                request_id=self.request_ids[i],
-                key=self.keys[i],
-                arrival_time=self.arrival_times[i],
-                ready_time=self.ready_times[i],
-                dispatch_time=self.dispatch_times[i],
-                completion_time=self.completion_times[i],
-                resolution=self.resolutions[i],
-                scans_read=self.scans_read[i],
-                bytes_from_store=self.bytes_from_store[i],
-                bytes_from_cache=self.bytes_from_cache[i],
-                total_bytes=self.total_bytes[i],
-                batch_size=self.batch_sizes[i],
-                prediction=self.predictions[i],
-                label=None if self.labels[i] < 0 else self.labels[i],
-            )
-            for i in range(len(self))
-        ]
+        return [self[index] for index in range(len(self))]
 
 
 @report_type("slo")
@@ -332,7 +337,7 @@ def _percentile_ms(latencies: np.ndarray, q: float) -> float:
 
 
 def build_report(
-    served: "Sequence[ServedRequest] | RequestRecords",
+    served: "Iterable[ServedRequest] | RequestRecords",
     bandwidth: StorageBandwidthModel,
     store_requests: int,
     cache_stats: CacheStats | None = None,
@@ -346,27 +351,20 @@ def build_report(
 
     ``store_requests`` is the number of GET operations issued against the
     store (a full cache hit issues none), which the bandwidth model prices
-    separately from the bytes moved.  An empty ``served`` sequence — every
-    arrival dropped, or nothing offered — yields the well-defined empty
-    report (zero requests, ``None`` percentiles) rather than raising.
+    separately from the bytes moved.  An empty ``served`` — every arrival
+    dropped, or nothing offered — yields the well-defined empty report
+    (zero requests, ``None`` percentiles) rather than raising.
 
-    ``served`` may be a columnar :class:`RequestRecords` instead of an
-    object sequence; the statistics come out byte-identical (same IEEE-754
-    operations over the same values in the same request-id order).
+    ``served`` is normally the server's :class:`RequestRecords`; an object
+    sequence is columnarized on entry.  Records fold in request-id order (a
+    stable argsort), so append order never changes a reported bit: the
+    ordered float reductions (means, percentiles) see the same sequence,
+    and integer folds are exact in any order.
     """
-    if isinstance(served, RequestRecords) and served:
-        return _build_report_columnar(
-            served,
-            bandwidth=bandwidth,
-            store_requests=store_requests,
-            cache_stats=cache_stats,
-            degraded_requests=degraded_requests,
-            dropped_requests=dropped_requests,
-            prefetch_bytes=prefetch_bytes,
-            prefetch_hits=prefetch_hits,
-            prefetch_wasted_bytes=prefetch_wasted_bytes,
-        )
-    if not served:
+    records = (
+        served if isinstance(served, RequestRecords) else RequestRecords.from_served(served)
+    )
+    if not records:
         # Even with nothing served, prefetch GETs may have moved bytes.
         transfer = bandwidth.estimate(prefetch_bytes, num_requests=store_requests)
         return SLOReport(
@@ -395,113 +393,34 @@ def build_report(
             prefetch_hits=prefetch_hits,
             prefetch_wasted_bytes=prefetch_wasted_bytes,
         )
-    ordered = sorted(served, key=lambda r: r.request_id)
-    latencies = np.array([r.latency for r in ordered])
-    waits = np.array([r.queue_wait for r in ordered])
-    first_arrival = min(r.arrival_time for r in ordered)
-    last_completion = max(r.completion_time for r in ordered)
-    duration = last_completion - first_arrival
-
-    labelled = [r for r in ordered if r.label is not None]
-    # None, not NaN: NaN is invalid strict JSON and breaks == round-trips.
-    accuracy = (
-        100.0 * sum(r.correct for r in labelled) / len(labelled) if labelled else None
-    )
-
-    bytes_from_store = sum(r.bytes_from_store for r in ordered)
-    bytes_from_cache = sum(r.bytes_from_cache for r in ordered)
-    baseline_bytes = sum(r.total_bytes for r in ordered)
-    # Prefetched bytes are store traffic too: they ride the same GETs the
-    # bandwidth model prices, even though no request waited on them.
-    transfer = bandwidth.estimate(
-        bytes_from_store + prefetch_bytes, num_requests=store_requests
-    )
-
-    histogram: dict[int, int] = {}
-    for record in ordered:
-        histogram[record.resolution] = histogram.get(record.resolution, 0) + 1
-
-    return SLOReport(
-        num_requests=len(ordered),
-        duration_s=duration,
-        throughput_rps=len(ordered) / duration if duration > 0 else float("inf"),
-        mean_latency_ms=float(latencies.mean() * 1e3),
-        p50_latency_ms=_percentile_ms(latencies, 50),
-        p95_latency_ms=_percentile_ms(latencies, 95),
-        p99_latency_ms=_percentile_ms(latencies, 99),
-        mean_queue_wait_ms=float(waits.mean() * 1e3),
-        mean_batch_size=float(np.mean([r.batch_size for r in ordered])),
-        accuracy=accuracy,
-        bytes_from_store=bytes_from_store,
-        bytes_from_cache=bytes_from_cache,
-        baseline_bytes=baseline_bytes,
-        bytes_saved=baseline_bytes - bytes_from_store,
-        relative_bytes_saved=(
-            1.0 - bytes_from_store / baseline_bytes if baseline_bytes > 0 else 0.0
-        ),
-        transfer_seconds=transfer.seconds,
-        transfer_dollars=transfer.dollars,
-        cache_hit_rate=cache_stats.hit_rate if cache_stats is not None else None,
-        degraded_requests=degraded_requests,
-        resolution_histogram=histogram,
-        dropped_requests=dropped_requests,
-        prefetch_bytes=prefetch_bytes,
-        prefetch_hits=prefetch_hits,
-        prefetch_wasted_bytes=prefetch_wasted_bytes,
-    )
-
-
-def _build_report_columnar(
-    records: RequestRecords,
-    bandwidth: StorageBandwidthModel,
-    store_requests: int,
-    cache_stats: CacheStats | None,
-    degraded_requests: int,
-    dropped_requests: int,
-    prefetch_bytes: int,
-    prefetch_hits: int,
-    prefetch_wasted_bytes: int,
-) -> SLOReport:
-    """The columnar twin of the object-path fold below ``build_report``.
-
-    Every statistic is computed with the same IEEE-754 operations over the
-    same float64/int64 values in the same request-id order as the object
-    path, so the two paths agree bit-for-bit; the only intentional
-    difference is the histogram's key order (ascending here, first-seen
-    there), which neither ``==`` nor the sorted-key JSON encoding can see.
-    Integer folds are exact in both representations, so only the ordered
-    float reductions (means, percentiles) need the stable argsort.
-    """
-    order = np.argsort(np.frombuffer(records.request_ids, dtype=np.int64), kind="stable")
-    arrivals = np.frombuffer(records.arrival_times, dtype=np.float64)[order]
-    completions = np.frombuffer(records.completion_times, dtype=np.float64)[order]
+    order = np.argsort(records.column("request_ids"), kind="stable")
+    arrivals = records.column("arrival_times")[order]
+    completions = records.column("completion_times")[order]
     latencies = completions - arrivals
-    waits = (
-        np.frombuffer(records.dispatch_times, dtype=np.float64)
-        - np.frombuffer(records.ready_times, dtype=np.float64)
-    )[order]
+    waits = (records.column("dispatch_times") - records.column("ready_times"))[order]
     duration = float(completions.max()) - float(arrivals.min())
 
-    labels = np.frombuffer(records.labels, dtype=np.int64)
-    predictions = np.frombuffer(records.predictions, dtype=np.int64)
+    labels = records.column("labels")
+    predictions = records.column("predictions")
     labelled = labels >= 0
     num_labelled = int(labelled.sum())
+    # None, not NaN: NaN is invalid strict JSON and breaks == round-trips.
     accuracy = (
         100.0 * int((predictions[labelled] == labels[labelled]).sum()) / num_labelled
         if num_labelled
         else None
     )
 
-    bytes_from_store = int(np.sum(np.frombuffer(records.bytes_from_store, dtype=np.int64)))
-    bytes_from_cache = int(np.sum(np.frombuffer(records.bytes_from_cache, dtype=np.int64)))
-    baseline_bytes = int(np.sum(np.frombuffer(records.total_bytes, dtype=np.int64)))
+    bytes_from_store = int(np.sum(records.column("bytes_from_store")))
+    bytes_from_cache = int(np.sum(records.column("bytes_from_cache")))
+    baseline_bytes = int(np.sum(records.column("total_bytes")))
+    # Prefetched bytes are store traffic too: they ride the same GETs the
+    # bandwidth model prices, even though no request waited on them.
     transfer = bandwidth.estimate(
         bytes_from_store + prefetch_bytes, num_requests=store_requests
     )
 
-    values, counts = np.unique(
-        np.frombuffer(records.resolutions, dtype=np.int64), return_counts=True
-    )
+    values, counts = np.unique(records.column("resolutions"), return_counts=True)
     histogram = {int(value): int(count) for value, count in zip(values, counts)}
 
     count = len(records)
@@ -514,9 +433,7 @@ def _build_report_columnar(
         p95_latency_ms=_percentile_ms(latencies, 95),
         p99_latency_ms=_percentile_ms(latencies, 99),
         mean_queue_wait_ms=float(waits.mean() * 1e3),
-        mean_batch_size=float(
-            np.mean(np.frombuffer(records.batch_sizes, dtype=np.int64)[order])
-        ),
+        mean_batch_size=float(np.mean(records.column("batch_sizes")[order])),
         accuracy=accuracy,
         bytes_from_store=bytes_from_store,
         bytes_from_cache=bytes_from_cache,

@@ -16,7 +16,7 @@ under concurrent load on one simulated clock:
    :class:`BatchCostModel` (hwsim-backed or linear); the backbone really
    executes (numpy) so predictions and accuracy are part of the report;
 4. completions free workers, feed closed-loop clients their next arrival,
-   and accumulate :class:`ServedRequest` records for the SLO report.
+   and append to the run's :class:`RequestRecords` for the SLO report.
 
 The loop narrates itself as a stream of frozen
 :class:`~repro.serving.events.ServerEvent` objects (arrival → cache probe →
@@ -36,10 +36,9 @@ decoupled from the real CPU time the numpy models take, which is what lets
 a laptop-sized model stand in for a production backbone under thousands of
 requests.
 
-**The fast core** (``ServerConfig.fast_core``, on by default) removes the
-per-event Python overhead without changing a single simulated value, so
-reports stay byte-identical to the scalar path (the golden-parity suite
-enforces this).  Four mechanisms, all behaviour-preserving:
+The loop keeps per-event Python overhead low without changing a single
+simulated value; the byte-identical reports in ``tests/golden/`` pin
+every mechanism below:
 
 * *memoization at reproducible boundaries* — decoding a stored scan
   prefix, preprocessing it to a resolution, the scale model's per-image
@@ -54,18 +53,16 @@ enforces this).  Four mechanisms, all behaviour-preserving:
   ``on_event`` (and the control plane is the no-op default), the frozen
   event dataclasses would be constructed only to be ignored, so the loop
   skips building them entirely;
-* *columnar record accumulation* — completions append to a
-  :class:`~repro.serving.metrics.RequestRecords` (typed arrays) instead of
-  allocating one :class:`ServedRequest` per request;
+* *columnar records* — every completion appends to a
+  :class:`~repro.serving.metrics.RequestRecords` (typed arrays); a
+  :class:`ServedRequest` object is built only to ride inside a
+  :class:`RequestCompleted` event, when events are on;
 * *cursor-merged arrivals* — a sorted open-loop
   :class:`~repro.serving.workload.ArrivalStream` is consumed through an
-  index cursor merged against the heap (arrivals win time ties, exactly as
-  the legacy pre-pushed entries' lower tickets did), so a million-request
+  index cursor merged against the heap (arrivals win time ties, as if
+  each had been pushed before every runtime event), so a million-request
   trace never materializes a million heap entries or ``Request`` objects
   up front.
-
-``fast_core=False`` preserves the original scalar path end to end, which
-is what the differential tests diff against.
 """
 
 from __future__ import annotations
@@ -125,7 +122,7 @@ _ENQUEUE = "enqueue"
 _FLUSH = "flush"
 _DONE = "done"
 
-#: LRU bounds on the fast core's memo tables.  Serving stores hold tens of
+#: LRU bounds on the loop's memo tables.  Serving stores hold tens of
 #: keys, so real runs sit far below these; the caps only guard pathological
 #: configurations from unbounded growth.
 _PREPROCESS_MEMO_LIMIT = 2048
@@ -134,14 +131,7 @@ _BATCH_MEMO_LIMIT = 8192
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs of the serving tier (the arrival process supplies the traffic).
-
-    ``fast_core`` toggles the vectorized event-loop fast path (memoized
-    pure stages, event-object elision, columnar records, cursor-merged
-    arrivals).  It never changes any simulated value — reports are
-    byte-identical either way — so ``False`` exists only to run the
-    original scalar path for differential testing.
-    """
+    """Knobs of the serving tier (the arrival process supplies the traffic)."""
 
     resolutions: tuple[int, ...]
     scale_resolution: int | None = None
@@ -150,7 +140,6 @@ class ServerConfig:
     max_wait_s: float = 0.005
     scale_model_seconds: float = 0.0
     crop_ratio: float = 0.75
-    fast_core: bool = True
 
     def __post_init__(self) -> None:
         if not self.resolutions:
@@ -223,23 +212,22 @@ class InferenceServer:
         self.store_requests = 0
         self._request_fetch_ops = 0
         self.last_dropped: list[tuple[Request, str]] = []
-        # Raw output of the most recent run: columnar on the fast path,
-        # an object list otherwise (last_served materializes on demand).
-        self.last_records: RequestRecords | None = None
-        self._last_served: list[ServedRequest] | None = []
+        # Raw completions of the most recent run (last_served materializes
+        # them as objects on demand).
+        self.last_records = RequestRecords()
+        self._last_served: list[ServedRequest] | None = None
         # Wall-clock instrumentation (repro.obs.profiling.Profiler); None keeps
         # the hot path at one identity check per heap pop.
         self.profiler = profiler
-        # Fast-core memo tables over reproducible inputs (bounded LRU); they
-        # persist across runs like cache contents do — the memoized stages
-        # are pure, so reuse can never change a result.
+        # Memo tables over reproducible inputs (bounded LRU); they persist
+        # across runs like cache contents do — the memoized stages are
+        # pure, so reuse can never change a result.
         self._preprocess_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._batch_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        # Whether the current run emits event objects (set per run; the fast
-        # core skips construction when nobody is listening).
+        # Whether the current run emits event objects (set per run; the loop
+        # skips construction when nobody is listening).
         self._emit_on = True
-        if config.fast_core:
-            self.store.enable_decode_cache()
+        self.store.enable_decode_cache()
         # Control-plane policies observe the same stream as everyone else.
         self._observers: list[ServerObserver] = [
             self.admission,
@@ -292,14 +280,13 @@ class InferenceServer:
     def last_served(self) -> list[ServedRequest]:
         """The most recent run's completed requests, as objects.
 
-        The fast core accumulates columnar :attr:`last_records`; this
-        property materializes the equivalent :class:`ServedRequest` list
-        lazily (and caches it), so object-level consumers — tests, the
-        tracing assertions — keep working regardless of which path ran.
+        Materialized lazily (and cached) from the columnar
+        :attr:`last_records` for object-level consumers — tests, the
+        tracing assertions.
         """
-        if self._last_served is None and self.last_records is not None:
+        if self._last_served is None:
             self._last_served = self.last_records.materialize()
-        return self._last_served if self._last_served is not None else []
+        return self._last_served
 
     # -- reads -------------------------------------------------------------------
     @property
@@ -364,15 +351,10 @@ class InferenceServer:
             )
             self._probe(request, stage1_scans, now)
             image, fetched = self._fetch(request.key, stage1_scans, record=True)
-            if self.config.fast_core:
-                # The decoded prefix is a pure function of (key, scans), so
-                # the scale model's per-image choice can memoize under that
-                # token (queue-dependent degradation still runs fresh).
-                resolution = self.policy.select_cached(
-                    image, (request.key, stage1_scans)
-                )
-            else:
-                resolution = self.policy.select(image)
+            # The decoded prefix is a pure function of (key, scans), so the
+            # scale model's per-image choice can memoize under that token
+            # (queue-dependent degradation still runs fresh).
+            resolution = self.policy.select_cached(image, (request.key, stage1_scans))
             scale_seconds = self.config.scale_model_seconds
 
             # Stage 2: top up to the chosen resolution's calibrated prefix.
@@ -434,7 +416,7 @@ class InferenceServer:
 
     # -- batch execution ----------------------------------------------------------
     def _preprocessed(self, item: _InFlight, resolution: int) -> np.ndarray:
-        """The model input for one in-flight item, memoized on the fast core.
+        """The model input for one in-flight item, memoized.
 
         ``item.image`` is exactly the decode of ``(key, scans_read)``, so
         that pair plus the resolution reproduces the preprocessed tensor
@@ -454,13 +436,6 @@ class InferenceServer:
         return hit
 
     def _execute(self, resolution: int, items: list[_InFlight]) -> np.ndarray:
-        if not self.config.fast_core:
-            inputs = np.concatenate(
-                [self.preprocessor(item.image, resolution) for item in items], axis=0
-            )
-            self.backbone.eval()
-            logits = self.backbone(inputs)
-            return np.argmax(logits, axis=1)
         # Batched float execution is not bitwise row-independent (summation
         # shapes differ with batch composition), so the memo key is the
         # *whole* batch signature: identical signatures reproduce identical
@@ -502,7 +477,6 @@ class InferenceServer:
         self, initial: Sequence[Request], clients: ClosedLoopClients | None
     ) -> SLOReport:
         config = self.config
-        fast = config.fast_core
         batcher = DynamicBatcher(config.max_batch_size, config.max_wait_s)
         heap: list[tuple[float, int, str, object]] = []
         ticket = itertools.count()
@@ -510,9 +484,9 @@ class InferenceServer:
         def push(time: float, kind: str, payload: object) -> None:
             heapq.heappush(heap, (time, next(ticket), kind, payload))
 
-        # Fast-core dispatch decisions for this run.  An observer is active
-        # iff its class overrides ServerObserver.on_event; a prefetch policy
-        # that overrides plan() forces events on so its PrefetchIssued
+        # Dispatch decisions for this run.  An observer is active iff its
+        # class overrides ServerObserver.on_event; a prefetch policy that
+        # overrides plan() forces events on so its PrefetchIssued
         # bookkeeping (delivered via the event stream) keeps working.
         active_observers = any(
             type(observer).on_event is not ServerObserver.on_event
@@ -520,19 +494,18 @@ class InferenceServer:
         )
         prefetch_noop = type(self.prefetch).plan is PrefetchPolicy.plan
         admission_noop = type(self.admission) is AlwaysAdmit
-        emit_on = (not fast) or active_observers or not prefetch_noop
+        emit_on = active_observers or not prefetch_noop
         self._emit_on = emit_on
-        use_records = fast and not emit_on
         observes_depth = hasattr(self.policy, "observe_queue_depth")
         needs_depth = emit_on or not admission_noop or observes_depth
 
         # A sorted open-loop ArrivalStream is consumed through an index
         # cursor merged against the heap instead of pre-heaping N entries.
-        # Legacy pre-pushed arrivals hold tickets 0..N-1 and therefore win
-        # every time tie against runtime events; `<=` below preserves
-        # exactly that ordering.
+        # Pre-pushed arrivals hold tickets 0..N-1 and therefore win every
+        # time tie against runtime events; `<=` below preserves exactly
+        # that ordering.
         stream = None
-        if fast and clients is None and isinstance(initial, ArrivalStream) and initial.is_sorted:
+        if clients is None and isinstance(initial, ArrivalStream) and initial.is_sorted:
             stream = initial
             stream_times = stream.times
             stream_keys = stream.keys
@@ -543,7 +516,6 @@ class InferenceServer:
             for request in initial:
                 push(request.arrival_time, _ARRIVAL, request)
 
-        served: list[ServedRequest] = []
         records = RequestRecords()
         dropped: list[tuple[Request, str]] = []
         dispatch_queue: deque[tuple[int, list[_InFlight]]] = deque()
@@ -589,9 +561,9 @@ class InferenceServer:
                 not heap or stream_times[cursor] <= heap[0][0]
             ):
                 # Cursor-merged arrival: ties go to the arrival, matching
-                # the lower tickets pre-pushed arrivals held on the legacy
-                # path.  The Request object is built here, once, only when
-                # the arrival is actually processed.
+                # the lower tickets pre-pushed arrivals hold.  The Request
+                # object is built here, once, only when the arrival is
+                # actually processed.
                 now = float(stream_times[cursor])
                 kind = _ARRIVAL
                 payload = Request(
@@ -607,7 +579,7 @@ class InferenceServer:
 
             if kind == _ARRIVAL:
                 request = payload
-                if not (fast and prefetch_noop):
+                if not prefetch_noop:
                     # The idle gap since the previous arrival is the
                     # prefetcher's window: planned top-ups land before this
                     # arrival is served.
@@ -627,7 +599,7 @@ class InferenceServer:
                     self._emit(
                         RequestArrived(time=now, request=request, queue_depth=queue_depth)
                     )
-                if not (fast and admission_noop):
+                if not admission_noop:
                     decision = self.admission.admit(request, now, queue_depth)
                     if not decision.admitted:
                         dropped.append((request, decision.reason))
@@ -680,75 +652,46 @@ class InferenceServer:
                 with self._scope("backbone-execute"):
                     predictions = self._execute(resolution, items)
                 batch_size = len(items)
-                if use_records:
-                    # Columnar accumulation: fourteen C-level appends per
-                    # completion instead of a ServedRequest + event object.
-                    for item, prediction in zip(items, predictions):
-                        request = item.request
-                        records.append(
-                            request.request_id,
-                            request.key,
-                            request.arrival_time,
-                            item.ready_time,
-                            item.dispatch_time,
-                            now,
-                            resolution,
-                            item.scans_read,
-                            item.bytes_from_store,
-                            item.bytes_from_cache,
-                            item.total_bytes,
-                            batch_size,
-                            int(prediction),
-                            self.store.metadata(request.key).label,
-                        )
-                        if clients is not None and request.client_id is not None:
-                            follow_up = clients.next_request(request.client_id, now)
-                            if follow_up is not None:
-                                push(follow_up.arrival_time, _ARRIVAL, follow_up)
-                else:
-                    for item, prediction in zip(items, predictions):
-                        request = item.request
-                        record = ServedRequest(
-                            request_id=request.request_id,
-                            key=request.key,
-                            arrival_time=request.arrival_time,
-                            ready_time=item.ready_time,
-                            dispatch_time=item.dispatch_time,
-                            completion_time=now,
-                            resolution=resolution,
-                            scans_read=item.scans_read,
-                            bytes_from_store=item.bytes_from_store,
-                            bytes_from_cache=item.bytes_from_cache,
-                            total_bytes=item.total_bytes,
-                            batch_size=batch_size,
-                            prediction=int(prediction),
-                            label=self.store.metadata(request.key).label,
-                        )
-                        served.append(record)
-                        self._emit(RequestCompleted(time=now, record=record))
-                        if clients is not None and request.client_id is not None:
-                            follow_up = clients.next_request(request.client_id, now)
-                            if follow_up is not None:
-                                push(follow_up.arrival_time, _ARRIVAL, follow_up)
+                for item, prediction in zip(items, predictions):
+                    request = item.request
+                    records.append(
+                        request.request_id,
+                        request.key,
+                        request.arrival_time,
+                        item.ready_time,
+                        item.dispatch_time,
+                        now,
+                        resolution,
+                        item.scans_read,
+                        item.bytes_from_store,
+                        item.bytes_from_cache,
+                        item.total_bytes,
+                        batch_size,
+                        int(prediction),
+                        self.store.metadata(request.key).label,
+                    )
+                    if emit_on:
+                        self._emit(RequestCompleted(time=now, record=records[-1]))
+                    if clients is not None and request.client_id is not None:
+                        follow_up = clients.next_request(request.client_id, now)
+                        if follow_up is not None:
+                            push(follow_up.arrival_time, _ARRIVAL, follow_up)
                 free_workers += 1
                 if dispatch_queue:
                     queued_resolution, queued_items = dispatch_queue.popleft()
                     start_batch(queued_resolution, queued_items, now)
 
-        completed: "list[ServedRequest] | RequestRecords" = (
-            records if use_records else served
-        )
         if profiler is not None:
-            profiler.completed_requests += len(completed)
+            profiler.completed_requests += len(records)
             profiler.stop_run(sim_seconds=now)
 
-        # Kept for composition layers (the sharded fleet merges the raw
-        # records of many servers into one fleet-wide report).
-        self.last_records = records if use_records else None
-        self._last_served = None if use_records else served
+        # Kept for composition layers (the fleets merge the raw records of
+        # many servers into one fleet-wide report).
+        self.last_records = records
+        self._last_served = None
         self.last_dropped = dropped
         return build_report(
-            completed,
+            records,
             bandwidth=self.bandwidth,
             store_requests=self.store_requests,
             cache_stats=self.cache.stats if self.cache is not None else None,

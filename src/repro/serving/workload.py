@@ -14,15 +14,14 @@ production-like load do to the server":
   through the inverse of the envelope's cumulative intensity, so the base
   process's seed is the only randomness and runs stay deterministic.
 
-It also defines :class:`ArrivalStream`, the columnar trace representation
-the event-loop fast core consumes: one float64 array of arrival times, one
+It also defines :class:`ArrivalStream`, the one arrival representation
+every open-loop process produces: one float64 array of arrival times, one
 key list, one int64 id array, pre-generated with numpy instead of one
 ``Request`` object per arrival.  A stream is still a ``Sequence[Request]``
-(items materialize lazily), so every legacy consumer keeps working; the
-fast paths (the server's cursor merge, the fleet's partition) read the
-arrays directly.  Every arrival process gains a ``stream()`` method that
-draws the *same* seeded RNG values as ``trace()``, so the two
-representations are value-identical arrival for arrival.
+(items materialize lazily), so object consumers keep working; the server's
+cursor merge and the fleet's partition read the arrays directly.  Each
+process implements ``stream()`` only; ``trace()`` is derived from it once,
+in :class:`~repro.serving.arrivals.ArrivalProcess`.
 
 Everything here is registered in :data:`~repro.api.registry.ARRIVALS` and
 wired through the ``serving.arrivals`` config section (``trace_path``,
@@ -50,10 +49,9 @@ class ArrivalStream(Sequence):
     ``times`` (float64) and ``request_ids`` (int64) are numpy arrays;
     ``keys`` is a list of store keys, index-aligned.  Client ids are always
     ``None`` — closed-loop traffic cannot be pre-generated.  Indexing
-    materializes :class:`~repro.serving.arrivals.Request` objects with
-    exactly the values the object-path ``trace()`` would have produced, so
-    a stream drops into any ``Sequence[Request]`` consumer; the fast core
-    instead walks the arrays directly.
+    materializes :class:`~repro.serving.arrivals.Request` objects, so a
+    stream drops into any ``Sequence[Request]`` consumer; the server's
+    event loop instead walks the arrays directly.
     """
 
     __slots__ = ("times", "keys", "request_ids", "_sorted")
@@ -79,17 +77,6 @@ class ArrivalStream(Sequence):
                     f"got {len(self.keys)} arrivals but {len(self.request_ids)} ids"
                 )
         self._sorted: bool | None = None
-
-    @classmethod
-    def from_requests(cls, trace: Sequence[Request]) -> "ArrivalStream":
-        """Columnarize an object trace (open-loop only: no client ids)."""
-        if any(request.client_id is not None for request in trace):
-            raise ValueError("closed-loop requests cannot join an ArrivalStream")
-        return cls(
-            np.array([request.arrival_time for request in trace], dtype=np.float64),
-            [request.key for request in trace],
-            np.array([request.request_id for request in trace], dtype=np.int64),
-        )
 
     @property
     def is_sorted(self) -> bool:
@@ -214,25 +201,7 @@ class TraceReplayArrivals(ArrivalProcess):
         mean_gap = span / (len(records) - 1) if len(records) > 1 else 1.0
         return count, span + mean_gap, records
 
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
-        count, period, records = self._replay_plan(keys, num_requests)
-        requests = []
-        for index in range(count):
-            cycle, offset = divmod(index, len(records))
-            record = records[offset]
-            timestamp = record.timestamp + cycle * period
-            requests.append(
-                Request(
-                    request_id=index,
-                    key=record.key,
-                    arrival_time=timestamp / self.speedup,
-                )
-            )
-        return requests
-
     def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
-        # Same arithmetic as trace() — float64 elementwise ops commute with
-        # vectorization, so replayed timestamps are bit-identical.
         count, period, records = self._replay_plan(keys, num_requests)
         cycles, offsets = np.divmod(np.arange(count, dtype=np.int64), len(records))
         base = np.array([record.timestamp for record in records], dtype=np.float64)
@@ -279,10 +248,10 @@ class DiurnalArrivals(ArrivalProcess):
         envelope: Sequence[float] = (),
         grid_per_period: int = 4096,
     ) -> None:
-        if not hasattr(base, "trace"):
+        if not hasattr(base, "stream"):
             raise ValueError(
                 "diurnal modulation needs an open-loop base process with a "
-                f".trace() method; got {type(base).__name__}"
+                f".stream() method; got {type(base).__name__}"
             )
         if period_s <= 0:
             raise ValueError("period_s must be positive")
@@ -341,25 +310,7 @@ class DiurnalArrivals(ArrivalProcess):
         )
         return np.interp(base_times, cumulative, edges)
 
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
-        base_trace = self.base.trace(keys, num_requests)
-        if not base_trace:
-            return []
-        base_times = np.array([request.arrival_time for request in base_trace])
-        warped = self._warp(base_times)
-        return [
-            Request(
-                request_id=request.request_id,
-                key=request.key,
-                arrival_time=float(time),
-                client_id=request.client_id,
-            )
-            for request, time in zip(base_trace, warped)
-        ]
-
     def stream(self, keys: Sequence[str], num_requests: int) -> ArrivalStream:
-        # Warp the base stream's time column in place of per-object rebuilds;
-        # _warp is the same array op either way, so values are bit-identical.
         base_stream = self.base.stream(keys, num_requests)
         if len(base_stream) == 0:
             return base_stream

@@ -58,7 +58,7 @@ class ImageStore:
     total_bytes_stored: int = 0
     read_count: int = 0
     #: When True, every stored object's decode is memoized per scan prefix.
-    #: Opt-in via :meth:`enable_decode_cache` — the serving fast core does;
+    #: Opt-in via :meth:`enable_decode_cache` — the serving event loop does;
     #: bulk experiment stores (many images, each read once) should not.
     decode_cache_enabled: bool = False
 

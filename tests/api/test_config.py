@@ -87,8 +87,12 @@ class TestRoundTrip:
             EngineConfig.from_dict({"resolutionz": [24]})
 
     def test_unknown_section_key_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown ServingConfig field"):
-            EngineConfig.from_dict({"serving": {"workerz": 3}})
+        # A typo, and a retired key that old configs may still carry.
+        for key, value in (("workerz", 3), ("fast_core", False)):
+            with pytest.raises(
+                ValueError, match=f"unknown ServingConfig field.*{key}"
+            ):
+                EngineConfig.from_dict({"serving": {key: value}})
 
 
 class TestEngineConfigValidation:

@@ -4,10 +4,12 @@ Every config under ``examples/configs`` that produces a report has its
 canonical ``--json`` output committed under ``tests/golden``; these tests
 re-run each config through the :class:`~repro.api.engine.Engine` and
 byte-compare against the pinned file.  This is the refactor gate for the
-event-loop fast core: the vectorized path (``fast_core`` on, the default)
-and the original scalar path (``fast_core`` off) must both reproduce the
-goldens exactly — any drift in a simulated value, a float reduction order,
-or the JSON encoding fails here with the first divergent report key named.
+event loop: the goldens were captured from the original scalar loop, so
+they are the specification.  Serving configs run twice — once bare (event
+objects elided) and once with a recording observer on every server (event
+objects built) — and both must reproduce the goldens exactly.  Any drift
+in a simulated value, a float reduction order, or the JSON encoding fails
+here with the first divergent report key named.
 
 To intentionally re-pin after a behaviour change::
 
@@ -26,6 +28,7 @@ import pytest
 
 from repro.api.config import EngineConfig
 from repro.api.engine import Engine
+from repro.serving.events import RequestCompleted, ServerEvent, ServerObserver
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CONFIG_DIR = REPO_ROOT / "examples" / "configs"
@@ -33,7 +36,7 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 #: Configs whose report comes from ``run_experiment`` (no serving section).
 EXPERIMENT_CONFIGS = ("fig2", "table1")
-#: Configs whose report comes from ``serve`` (these exercise the fast core).
+#: Configs whose report comes from ``serve`` (these exercise the event loop).
 SERVING_CONFIGS = (
     "serving_admission",
     "serving_autoscale",
@@ -47,12 +50,33 @@ SERVING_CONFIGS = (
 ALL_CONFIGS = EXPERIMENT_CONFIGS + SERVING_CONFIGS
 
 
-def _render(name: str, fast_core: bool | None = None) -> str:
-    """One config's canonical report text (``to_json`` plus newline)."""
+class _Recorder(ServerObserver):
+    """Collect every event; subscribing it turns event elision off."""
+
+    def __init__(self) -> None:
+        self.events: list[ServerEvent] = []
+
+    def on_event(self, event: ServerEvent) -> None:
+        self.events.append(event)
+
+
+def _render(name: str, observer: ServerObserver | None = None) -> str:
+    """One config's canonical report text (``to_json`` plus newline).
+
+    ``observer``, when given, is subscribed to every server the engine
+    builds (single server, fleet shards, elastic scale-outs and recoveries).
+    """
     data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    if fast_core is not None:
-        data["serving"]["fast_core"] = fast_core
     engine = Engine(EngineConfig.from_dict(data))
+    if observer is not None:
+        build_server = engine.build_server
+
+        def observed_server(*args, **kwargs):
+            server = build_server(*args, **kwargs)
+            server.subscribe(observer)
+            return server
+
+        engine.build_server = observed_server
     if name in EXPERIMENT_CONFIGS:
         report = engine.run_experiment()
     else:
@@ -97,26 +121,29 @@ def _assert_matches_golden(name: str, text: str, label: str) -> None:
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
 def test_report_matches_golden(name: str, update_golden: bool) -> None:
-    """The default (fast-core) path reproduces the pinned report exactly."""
+    """A bare run (events elided) reproduces the pinned report exactly."""
     text = _render(name)
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         (GOLDEN_DIR / f"{name}.json").write_text(text)
         return
-    _assert_matches_golden(name, text, "fast core")
+    _assert_matches_golden(name, text, "bare run")
 
 
 @pytest.mark.parametrize("name", SERVING_CONFIGS)
-def test_scalar_path_matches_golden(name: str, update_golden: bool) -> None:
-    """The differential scalar path (``fast_core`` off) agrees byte-for-byte.
+def test_observed_run_matches_golden(name: str, update_golden: bool) -> None:
+    """A fully observed run (every event built) agrees byte-for-byte.
 
-    Together with ``test_report_matches_golden`` this pins the two event
-    loops to each other *and* to the committed artifact, so a regression in
-    either path cannot hide behind the other.
+    Event elision is the one branch left in the event loop; together with
+    ``test_report_matches_golden`` this pins both sides of it to the
+    committed artifact, so a regression in either cannot hide behind the
+    other.
     """
     if update_golden:
-        pytest.skip("goldens are pinned from the default path")
-    _assert_matches_golden(name, _render(name, fast_core=False), "scalar path")
+        pytest.skip("goldens are pinned from the bare run")
+    recorder = _Recorder()
+    _assert_matches_golden(name, _render(name, observer=recorder), "observed run")
+    assert any(isinstance(event, RequestCompleted) for event in recorder.events)
 
 
 def test_every_golden_has_a_config() -> None:
@@ -125,8 +152,7 @@ def test_every_golden_has_a_config() -> None:
     assert pinned == set(ALL_CONFIGS)
 
 
-@pytest.mark.parametrize("fast_core", [True, False], ids=["fast", "scalar"])
-def test_disabled_elastic_sections_match_the_static_golden(fast_core: bool) -> None:
+def test_disabled_elastic_sections_match_the_static_golden() -> None:
     """Elastic sections configured but *disabled* are byte-invisible.
 
     ``replicas: 1``, ``autoscale.name: "none"`` and ``faults: []`` must
@@ -140,7 +166,6 @@ def test_disabled_elastic_sections_match_the_static_golden(fast_core: bool) -> N
     fleet["replicas"] = 1
     fleet["autoscale"] = {"name": "none"}
     fleet["faults"] = []
-    data["serving"]["fast_core"] = fast_core
     report = Engine(EngineConfig.from_dict(data)).serve()
     assert report.kind == "fleet"  # not elastic-fleet: the static path ran
     expected = (GOLDEN_DIR / "serving_sharded.json").read_text()

@@ -240,23 +240,6 @@ class TestReportsKindTagged:
         assert run_rule(root, "reports-kind-tagged").ok
 
 
-class TestArrivalPairing:
-    def test_half_pair_is_flagged(self, tmp_path):
-        root = make_root(
-            tmp_path, {"src/repro/serving/procs.py": fixture("arrivals_bad.py")}
-        )
-        report = run_rule(root, "arrival-trace-stream-pair")
-        assert [f.message for f in report.findings] == [
-            "ArrivalProcess subclass HalfArrivals defines trace() but not stream()"
-        ]
-
-    def test_full_pair_and_pure_wrapper_are_clean(self, tmp_path):
-        root = make_root(
-            tmp_path, {"src/repro/serving/procs.py": fixture("arrivals_ok.py")}
-        )
-        assert run_rule(root, "arrival-trace-stream-pair").ok
-
-
 class TestEventDispatch:
     def test_unmentioned_event_type_is_flagged_by_name(self, tmp_path):
         root = make_root(

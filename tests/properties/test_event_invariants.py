@@ -1,25 +1,27 @@
-"""Property-based invariants of the serving event loop, on both cores.
+"""Property-based invariants of the serving event loop.
 
 The golden suite pins eight fixed configurations; hypothesis explores the
 traffic/batching parameter space around them and checks the properties no
 configuration may violate:
 
-* the fast core and the scalar core produce *equal* ``SLOReport`` objects
-  for the same traffic (the differential property the golden files sample);
-* ``stream()`` and ``trace()`` of every arrival process are value-identical
-  arrival for arrival;
+* a bare run (event objects elided) and an observed run (event objects
+  built) produce *equal* ``SLOReport`` objects and equal completions for
+  the same traffic — the differential over the loop's one branch;
+* every arrival process streams sorted arrivals with ids ``0..n-1`` and
+  keys drawn from the store;
 * observed event timestamps are non-decreasing within a run;
 * conservation: every arrival is either completed or dropped, exactly once;
 * every flushed batch respects ``max_batch_size``.
 
 Events are collected through a subscribed observer, which deliberately
-forces the fast core's emit path on — so the invariants hold with event
-elision disabled; the first property covers the fully-elided loop, where
-the report itself is the only observable.
+forces the loop's emit path on — so the invariants hold with event
+elision disabled; the differential property also covers the fully-elided
+loop, where the report itself is the only observable.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -46,16 +48,17 @@ from repro.serving.events import (
 )
 from repro.serving.fleet import ConsistentHashRouter
 from repro.serving.server import InferenceServer, ServerConfig
-from repro.serving.workload import ArrivalStream, DiurnalArrivals
+from repro.serving.traces import TraceRecord
+from repro.serving.workload import ArrivalStream, DiurnalArrivals, TraceReplayArrivals
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
 RESOLUTIONS = (24, 32, 48)
 
 #: Shared store/backbone: rendering and encoding images dominates example
-#: runtime, so every hypothesis example reuses one small catalogue.  The
-#: scalar/fast differential builds its own stores (the decode cache is
-#: per-store state the two runs must not share).
+#: runtime, so every hypothesis example reuses one small catalogue.  Runs
+#: that are compared build their own stores (the decode cache is per-store
+#: state the two runs must not share).
 _FIXTURES: dict = {}
 
 
@@ -95,14 +98,13 @@ def _backbone():
     return _FIXTURES["backbone"]
 
 
-def _server(store: ImageStore, fast_core: bool, **config) -> InferenceServer:
+def _server(store: ImageStore, **config) -> InferenceServer:
     defaults = dict(
         resolutions=RESOLUTIONS,
         scale_resolution=24,
         num_workers=2,
         max_batch_size=4,
         max_wait_s=0.004,
-        fast_core=fast_core,
     )
     defaults.update(config)
     return InferenceServer(
@@ -152,38 +154,40 @@ _SETTINGS = settings(
 
 @given(params=traffic, config=knobs)
 @_SETTINGS
-def test_fast_and_scalar_cores_agree(params, config) -> None:
-    """The differential property: both cores fold to equal SLO reports."""
+def test_elided_and_observed_runs_agree(params, config) -> None:
+    """The differential property: building events changes no result."""
     process = PoissonArrivals(
         rate_rps=params["rate_rps"],
         seed=params["seed"],
         zipf_alpha=params["zipf_alpha"],
     )
-    reports = {}
-    for fast_core in (False, True):
+    runs = {}
+    for observed in (False, True):
         store = _fresh_store()
-        keys = store.keys()
-        trace = (
-            process.stream(keys, params["num_requests"])
-            if fast_core
-            else process.trace(keys, params["num_requests"])
-        )
-        server = _server(store, fast_core, **config)
-        reports[fast_core] = server.run(trace)
-    assert reports[True] == reports[False]
+        server = _server(store, **config)
+        recorder = _Recorder()
+        if observed:
+            server.subscribe(recorder)
+        report = server.run(process.stream(store.keys(), params["num_requests"]))
+        completions = [e for e in recorder.events if isinstance(e, RequestCompleted)]
+        assert len(completions) == (report.num_requests if observed else 0)
+        runs[observed] = (report, server.last_served)
+    assert runs[True] == runs[False]
 
 
 @given(params=traffic)
 @_SETTINGS
-def test_stream_matches_trace(params) -> None:
-    """``stream()`` materializes the exact requests ``trace()`` builds."""
+def test_stream_shape(params) -> None:
+    """Every process streams sorted arrivals: ids ``0..n-1``, store keys."""
     keys = [key for key, _, _ in _samples()]
+    poisson = PoissonArrivals(
+        rate_rps=params["rate_rps"],
+        seed=params["seed"],
+        zipf_alpha=params["zipf_alpha"],
+    )
+    gaps = np.random.default_rng(params["seed"]).exponential(1.0, size=len(keys))
     processes = [
-        PoissonArrivals(
-            rate_rps=params["rate_rps"],
-            seed=params["seed"],
-            zipf_alpha=params["zipf_alpha"],
-        ),
+        poisson,
         OnOffArrivals(
             on_rate_rps=params["rate_rps"],
             mean_on_s=0.05,
@@ -191,13 +195,24 @@ def test_stream_matches_trace(params) -> None:
             seed=params["seed"],
             zipf_alpha=params["zipf_alpha"],
         ),
+        DiurnalArrivals(base=poisson, period_s=5.0, amplitude=0.4),
+        TraceReplayArrivals(
+            records=tuple(
+                TraceRecord(timestamp=float(t), key=key)
+                for t, key in zip(np.cumsum(gaps), keys)
+            ),
+            mode="loop",
+        ),
     ]
-    processes.append(DiurnalArrivals(base=processes[0], period_s=5.0, amplitude=0.4))
+    count = params["num_requests"]
     for process in processes:
-        stream = process.stream(keys, params["num_requests"])
+        stream = process.stream(keys, count)
         assert isinstance(stream, ArrivalStream)
-        assert list(stream) == process.trace(keys, params["num_requests"])
+        assert len(stream) == count
         assert stream.is_sorted
+        assert stream.request_ids.tolist() == list(range(count))
+        assert set(stream.keys) <= set(keys)
+        assert process.trace(keys, count) == list(stream)
 
 
 @given(params=traffic, config=knobs)
@@ -209,39 +224,36 @@ def test_event_stream_invariants(params, config) -> None:
         seed=params["seed"],
         zipf_alpha=params["zipf_alpha"],
     )
-    for fast_core in (False, True):
-        store = _fresh_store()
-        recorder = _Recorder()
-        server = _server(store, fast_core, **config)
-        server.subscribe(recorder)
-        trace = process.stream(store.keys(), params["num_requests"])
-        report = server.run(trace)
+    store = _fresh_store()
+    recorder = _Recorder()
+    server = _server(store, **config)
+    server.subscribe(recorder)
+    trace = process.stream(store.keys(), params["num_requests"])
+    report = server.run(trace)
 
-        times = [event.time for event in recorder.events]
-        assert times == sorted(times), "events must be time-ordered"
+    times = [event.time for event in recorder.events]
+    assert times == sorted(times), "events must be time-ordered"
 
-        arrivals = sum(1 for e in recorder.events if isinstance(e, RequestArrived))
-        completions = sum(
-            1 for e in recorder.events if isinstance(e, RequestCompleted)
-        )
-        drops = sum(1 for e in recorder.events if isinstance(e, RequestDropped))
-        assert arrivals == params["num_requests"]
-        assert arrivals == completions + drops
-        assert report.num_requests == completions
-        assert report.dropped_requests == drops
+    arrivals = sum(1 for e in recorder.events if isinstance(e, RequestArrived))
+    completions = sum(1 for e in recorder.events if isinstance(e, RequestCompleted))
+    drops = sum(1 for e in recorder.events if isinstance(e, RequestDropped))
+    assert arrivals == params["num_requests"]
+    assert arrivals == completions + drops
+    assert report.num_requests == completions
+    assert report.dropped_requests == drops
 
-        for event in recorder.events:
-            if isinstance(event, BatchFlushed):
-                assert 1 <= event.batch_size <= config["max_batch_size"]
-            if isinstance(event, RequestCompleted):
-                record = event.record
-                assert record.arrival_time <= record.ready_time
-                assert record.ready_time <= record.dispatch_time
-                assert record.dispatch_time <= record.completion_time
+    for event in recorder.events:
+        if isinstance(event, BatchFlushed):
+            assert 1 <= event.batch_size <= config["max_batch_size"]
+        if isinstance(event, RequestCompleted):
+            record = event.record
+            assert record.arrival_time <= record.ready_time
+            assert record.ready_time <= record.dispatch_time
+            assert record.dispatch_time <= record.completion_time
 
-        stats = server.cache.stats
-        assert stats.hits + stats.misses >= 0
-        assert report.num_requests == len(server.last_served)
+    stats = server.cache.stats
+    assert stats.hits + stats.misses >= 0
+    assert report.num_requests == len(server.last_served)
 
 
 elastic_traffic = st.fixed_dictionaries(
@@ -266,7 +278,7 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     """
     horizon = params["num_requests"] / params["rate_rps"]
     fleet = ElasticFleet(
-        lambda shard_id: _server(_fresh_store(), fast_core=True),
+        lambda shard_id: _server(_fresh_store()),
         2,
         ConsistentHashRouter(range(2), seed=11),
         autoscale=ThresholdAutoscaler(
@@ -307,9 +319,9 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     )
 
 
-@pytest.mark.parametrize("fast_core", [False, True])
-def test_conservation_with_drops(fast_core: bool) -> None:
-    """Admission drops conserve requests on both cores (fixed heavy case)."""
+@pytest.mark.parametrize("observed", [False, True])
+def test_conservation_with_drops(observed: bool) -> None:
+    """Admission drops conserve requests, events elided or built."""
     from repro.serving.control import EwmaAdmissionController
 
     store = _fresh_store()
@@ -323,15 +335,19 @@ def test_conservation_with_drops(fast_core: bool) -> None:
             num_workers=1,
             max_batch_size=2,
             max_wait_s=0.002,
-            fast_core=fast_core,
         ),
         read_policy=ScanReadPolicy(),
         batch_cost=LinearBatchCost(),
         admission=EwmaAdmissionController(alpha=0.5, depth_threshold=2.0),
     )
+    recorder = _Recorder()
+    if observed:
+        server.subscribe(recorder)
     trace = PoissonArrivals(rate_rps=5000.0, seed=3, zipf_alpha=0.8).stream(
         store.keys(), 80
     )
     report = server.run(trace)
     assert report.dropped_requests > 0
     assert report.num_requests + report.dropped_requests == 80
+    drops = [e for e in recorder.events if isinstance(e, RequestDropped)]
+    assert len(drops) == (report.dropped_requests if observed else 0)

@@ -1,10 +1,12 @@
 """Edge cases of the SLO fold: empty runs, single records, exact quantiles.
 
-``build_report`` now has two implementations — the object fold and the
-columnar fold over :class:`RequestRecords` — so every edge case is checked
-through both, and the two are pinned equal on the boundaries where float
-reductions are most fragile (exact percentile indices, single elements,
-all-identical populations).
+``build_report`` folds one representation — the columnar
+:class:`RequestRecords` — and columnarizes object sequences on entry, so
+each edge case is checked once, against expectations computed
+independently from the hand-built records (``np.percentile`` over their
+latencies, counts of their labels), on the boundaries where float
+reductions are most fragile: exact percentile indices, single elements,
+all-identical populations.
 """
 
 from __future__ import annotations
@@ -49,20 +51,22 @@ def make_record(
     )
 
 
-def columnar(records: list[ServedRequest]) -> RequestRecords:
-    columns = RequestRecords()
-    for record in records:
-        columns.append_record(record)
-    return columns
-
-
-def both_reports(records: list[ServedRequest], **kwargs):
+def report_of(records: list[ServedRequest], **kwargs):
     kwargs.setdefault("bandwidth", BANDWIDTH)
     kwargs.setdefault("store_requests", len(records))
-    return (
-        build_report(records, **kwargs),
-        build_report(columnar(records), **kwargs),
-    )
+    return build_report(records, **kwargs)
+
+
+def expected_percentile_ms(records: list[ServedRequest], q: float) -> float:
+    """The percentile the fold must report, computed from the objects."""
+    latencies = [record.completion_time - record.arrival_time for record in records]
+    return float(np.percentile(latencies, q) * 1e3)
+
+
+def assert_percentiles(report, records: list[ServedRequest]) -> None:
+    assert report.p50_latency_ms == expected_percentile_ms(records, 50)
+    assert report.p95_latency_ms == expected_percentile_ms(records, 95)
+    assert report.p99_latency_ms == expected_percentile_ms(records, 99)
 
 
 class TestEmpty:
@@ -90,8 +94,10 @@ class TestEmpty:
         report = build_report(
             [], bandwidth=BANDWIDTH, store_requests=3, prefetch_bytes=30_000
         )
+        expected = BANDWIDTH.estimate(30_000, num_requests=3)
         assert report.prefetch_bytes == 30_000
-        assert report.transfer_seconds > 0.0
+        assert report.transfer_seconds == expected.seconds > 0.0
+        assert report.transfer_dollars == expected.dollars
 
     def test_empty_report_formats(self):
         report = build_report([], bandwidth=BANDWIDTH, store_requests=0)
@@ -100,27 +106,29 @@ class TestEmpty:
 
 class TestSingle:
     def test_single_record_percentiles_collapse(self):
-        plain, cols = both_reports([make_record(0, latency=0.02)])
-        assert plain == cols
-        assert plain.num_requests == 1
+        records = [make_record(0, latency=0.02)]
+        report = report_of(records)
+        assert report.num_requests == 1
+        assert_percentiles(report, records)
         # Every percentile of a one-element population is that element.
-        assert plain.p50_latency_ms == pytest.approx(20.0)
-        assert plain.p50_latency_ms == plain.p95_latency_ms == plain.p99_latency_ms
-        assert plain.mean_latency_ms == plain.p50_latency_ms
-        assert plain.mean_batch_size == 2.0
+        assert report.p50_latency_ms == pytest.approx(20.0)
+        assert report.p50_latency_ms == report.p95_latency_ms == report.p99_latency_ms
+        assert report.mean_latency_ms == report.p50_latency_ms
+        assert report.mean_batch_size == 2.0
+        assert report.resolution_histogram == {32: 1}
+        assert report.bytes_from_store == 1000
+        assert report.bytes_saved == 4000
 
     def test_single_unlabelled_record_has_no_accuracy(self):
-        plain, cols = both_reports([make_record(0, label=None)])
-        assert plain == cols
-        assert plain.accuracy is None
+        report = report_of([make_record(0, label=None)])
+        assert report.num_requests == 1
+        assert report.accuracy is None
 
 
 class TestAccuracy:
     def test_accuracy_none_when_no_labels(self):
         records = [make_record(i, label=None) for i in range(5)]
-        plain, cols = both_reports(records)
-        assert plain == cols
-        assert plain.accuracy is None
+        assert report_of(records).accuracy is None
 
     def test_accuracy_over_labelled_subset_only(self):
         records = [
@@ -129,53 +137,47 @@ class TestAccuracy:
             make_record(2, label=2, prediction=0),
             make_record(3, label=None, prediction=2),
         ]
-        plain, cols = both_reports(records)
-        assert plain == cols
         # One correct out of the two labelled records; None-labelled ignored.
-        assert plain.accuracy == pytest.approx(50.0)
+        assert report_of(records).accuracy == 50.0
 
     def test_zero_correct_is_zero_not_none(self):
         records = [make_record(i, label=1, prediction=0) for i in range(3)]
-        plain, cols = both_reports(records)
-        assert plain == cols
-        assert plain.accuracy == 0.0
+        assert report_of(records).accuracy == 0.0
 
 
 class TestQuantileBoundaries:
     def test_exact_percentile_indices(self):
         # 101 equally spaced latencies: every percentile lands exactly on a
         # sample, so linear interpolation must return it with no blending.
-        records = [
-            make_record(i, latency=0.001 * (i + 1)) for i in range(101)
-        ]
-        plain, cols = both_reports(records)
-        assert plain == cols
-        assert plain.p50_latency_ms == pytest.approx(51.0)
-        assert plain.p95_latency_ms == pytest.approx(96.0)
-        assert plain.p99_latency_ms == pytest.approx(100.0)
+        records = [make_record(i, latency=0.001 * (i + 1)) for i in range(101)]
+        report = report_of(records)
+        assert_percentiles(report, records)
+        assert report.p50_latency_ms == pytest.approx(51.0)
+        assert report.p95_latency_ms == pytest.approx(96.0)
+        assert report.p99_latency_ms == pytest.approx(100.0)
 
     def test_interpolation_between_samples(self):
         # Two samples: p50 interpolates the midpoint (numpy linear method).
         records = [make_record(0, latency=0.010), make_record(1, latency=0.030)]
-        plain, cols = both_reports(records)
-        assert plain == cols
-        assert plain.p50_latency_ms == pytest.approx(20.0)
+        report = report_of(records)
+        assert_percentiles(report, records)
+        assert report.p50_latency_ms == pytest.approx(20.0)
 
     def test_identical_latencies_are_degenerate(self):
         # Latencies are recomputed as completion - arrival, so they agree
         # with 5ms only to float precision — but every percentile of the
         # (near-)constant population must collapse to the same few ulps.
         records = [make_record(i, latency=0.005) for i in range(10)]
-        plain, cols = both_reports(records)
-        assert plain == cols
-        assert plain.p50_latency_ms == pytest.approx(5.0)
-        assert plain.p99_latency_ms == pytest.approx(plain.p50_latency_ms)
+        report = report_of(records)
+        assert_percentiles(report, records)
+        assert report.p50_latency_ms == pytest.approx(5.0)
+        assert report.p99_latency_ms == pytest.approx(report.p50_latency_ms)
 
 
 class TestColumnarEquivalence:
     def test_shuffled_append_order_is_sorted_by_request_id(self):
         # build_report sorts by request id; a completion order scramble must
-        # not change a single reported bit on either path.
+        # not change a single reported bit, whichever form it arrives in.
         rng = np.random.default_rng(5)
         records = [
             make_record(
@@ -190,24 +192,32 @@ class TestColumnarEquivalence:
         ]
         shuffled = list(records)
         rng.shuffle(shuffled)
-        plain_sorted, cols_sorted = both_reports(records)
-        plain_shuffled, cols_shuffled = both_reports(shuffled)
-        assert plain_sorted == plain_shuffled == cols_sorted == cols_shuffled
+        in_order = report_of(records)
+        assert in_order == report_of(shuffled)
+        assert in_order == report_of(RequestRecords.from_served(shuffled))
+        assert_percentiles(in_order, records)
 
     def test_materialize_round_trips(self):
         records = [make_record(i, label=None if i % 3 else i) for i in range(9)]
-        assert columnar(records).materialize() == records
+        assert RequestRecords.from_served(records).materialize() == records
 
     def test_extend_concatenates(self):
-        left = columnar([make_record(0), make_record(1)])
-        right = columnar([make_record(2)])
+        left = RequestRecords.from_served([make_record(0), make_record(1)])
+        right = RequestRecords.from_served([make_record(2)])
         left.extend(right)
         assert len(left) == 3
-        assert left.materialize()[-1] == make_record(2)
+        assert left[-1] == make_record(2)
+
+    def test_take_keeps_masked_rows_in_order(self):
+        records = [make_record(i) for i in range(5)]
+        columns = RequestRecords.from_served(records)
+        mask = np.array([True, False, True, True, False])
+        assert columns.take(mask).materialize() == [records[0], records[2], records[3]]
+        assert columns.take(~mask).materialize() == [records[1], records[4]]
 
     def test_label_sentinel_is_none_safe(self):
         # -1 encodes None; a real label of 0 must survive the round trip.
         record = make_record(0, label=0)
-        assert columnar([record]).materialize()[0].label == 0
+        assert RequestRecords.from_served([record])[0].label == 0
         unlabelled = make_record(1, label=None)
-        assert columnar([unlabelled]).materialize()[0].label is None
+        assert RequestRecords.from_served([unlabelled])[0].label is None
