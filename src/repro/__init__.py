@@ -35,7 +35,8 @@ here under unambiguous names so neither shadows the other:
 * ``repro.ShardedFleet`` / ``repro.ConsistentHashRouter`` /
   ``repro.FleetReport`` — **request** sharding for online serving
   (:mod:`repro.serving.fleet`), which routes traffic across server nodes
-  with a consistent-hash ring.
+  with a consistent-hash ring; the same fleet also runs replica groups,
+  autoscaling and fault injection.
 """
 
 from typing import Any

@@ -23,7 +23,6 @@ from repro.serving import autoscale as _autoscale  # noqa: F401
 from repro.serving import batcher as _batcher  # noqa: F401
 from repro.serving import cache as _cache  # noqa: F401
 from repro.serving import control as _control  # noqa: F401
-from repro.serving import elastic as _elastic  # noqa: F401
 from repro.serving import events as _events  # noqa: F401
 from repro.serving import faults as _faults  # noqa: F401
 from repro.serving import fleet as _fleet  # noqa: F401

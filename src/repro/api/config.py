@@ -41,12 +41,21 @@ def _clean_dict(value: Any) -> Any:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` can fill an integer field (``bool`` cannot)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _pop_section(data: dict, name: str, cls: type, default: Any = None) -> Any:
     section = data.pop(name, None)
     if section is None:
         return default
     if isinstance(section, cls):
         return section
+    _require(
+        isinstance(section, dict),
+        f"{name} must be a mapping of section fields, got {type(section).__name__}",
+    )
     return cls.from_dict(section)
 
 
@@ -500,8 +509,9 @@ class AutoscaleConfig(_DictMixin):
     """Mid-run fleet resizing by a named autoscale policy.
 
     ``name`` picks a policy from the ``autoscale-policies`` registry
-    (``none`` keeps the section inert — the run stays on the static fleet
-    path byte-for-byte); ``options`` are its keyword arguments.  The fleet
+    (``none`` keeps the section inert: the fleet never resizes and its
+    report is byte-identical to one without the section); ``options`` are
+    its keyword arguments.  The fleet
     evaluates the policy every ``interval_s`` of simulated time and clamps
     its shard delta to ``[min_shards, max_shards]``.
     """
@@ -513,12 +523,23 @@ class AutoscaleConfig(_DictMixin):
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "autoscale.name must be non-empty")
-        _require(self.interval_s > 0, "autoscale.interval_s must be positive")
-        _require(self.min_shards > 0, "autoscale.min_shards must be positive")
         _require(
-            self.max_shards >= self.min_shards,
-            "autoscale.max_shards must be >= autoscale.min_shards",
+            isinstance(self.name, str) and bool(self.name),
+            "autoscale.name must be a non-empty string",
+        )
+        _require(
+            isinstance(self.interval_s, (int, float))
+            and not isinstance(self.interval_s, bool)
+            and self.interval_s > 0,
+            "autoscale.interval_s must be a positive number",
+        )
+        _require(
+            _is_int(self.min_shards) and self.min_shards > 0,
+            "autoscale.min_shards must be a positive integer",
+        )
+        _require(
+            _is_int(self.max_shards) and self.max_shards >= self.min_shards,
+            "autoscale.max_shards must be an integer >= autoscale.min_shards",
         )
         _require(isinstance(self.options, dict), "autoscale.options must be a mapping")
 
@@ -535,14 +556,17 @@ class FaultConfig(_DictMixin):
 
     ``options`` are the injector's keyword arguments (crash schedules,
     degraded-bandwidth windows, ...).  A fleet's ``faults`` list composes
-    injectors; an empty list keeps the run on the static fleet path.
+    injectors; an empty list injects nothing.
     """
 
     name: str
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "fault.name must be non-empty")
+        _require(
+            isinstance(self.name, str) and bool(self.name),
+            "fault.name must be a non-empty string",
+        )
         _require(isinstance(self.options, dict), "fault.options must be a mapping")
 
     @classmethod
@@ -563,12 +587,12 @@ class FleetConfig(_DictMixin):
     ``cache`` merge field-wise), which is how a fleet mixes, say, one
     big-cache shard with several small ones.
 
-    The elastic extensions — ``replicas`` > 1 (per-request replica-group
-    routing), a non-``none`` ``autoscale`` section, or a non-empty
-    ``faults`` list — switch the run to the
-    :class:`~repro.serving.elastic.ElasticFleet`; with all three at their
-    defaults the run takes the static ``ShardedFleet`` path and its report
-    is byte-identical to a config without the sections at all.
+    The elastic extensions are ``replicas`` > 1 (per-request replica-group
+    routing), a non-``none`` ``autoscale`` section and a non-empty
+    ``faults`` list.  Any of them makes the report an ``elastic-fleet``
+    one; with all three at their defaults the fleet has no segment
+    boundary and its report is byte-identical to a config without the
+    sections at all.
     """
 
     num_shards: int = 2
@@ -590,13 +614,25 @@ class FleetConfig(_DictMixin):
         )
 
     def __post_init__(self) -> None:
-        _require(self.num_shards > 0, "fleet.num_shards must be positive")
-        _require(bool(self.router), "fleet.router must be non-empty")
-        _require(self.virtual_nodes > 0, "fleet.virtual_nodes must be positive")
-        _require(self.replicas > 0, "fleet.replicas must be positive")
+        for name in ("num_shards", "virtual_nodes", "replicas"):
+            value = getattr(self, name)
+            _require(
+                _is_int(value) and value > 0, f"fleet.{name} must be a positive integer"
+            )
+        _require(_is_int(self.seed), "fleet.seed must be an integer")
         _require(
-            all(isinstance(fault, FaultConfig) for fault in self.faults),
+            isinstance(self.router, str) and bool(self.router),
+            "fleet.router must be a non-empty string",
+        )
+        _require(
+            isinstance(self.faults, (list, tuple))
+            and all(isinstance(fault, FaultConfig) for fault in self.faults),
             "fleet.faults must be a list of fault sections",
+        )
+        _require(
+            isinstance(self.overrides, dict),
+            "fleet.overrides must be a mapping from shard index to ServingConfig "
+            "field patches",
         )
         for shard, patch in self.overrides.items():
             _require(
@@ -625,16 +661,30 @@ class FleetConfig(_DictMixin):
         data = dict(data)
         _reject_unknown_keys(cls, data)
         overrides = data.pop("overrides", None)
+        if isinstance(overrides, dict):
+            # JSON object keys are strings; config keys are shard indices
+            # (a key that is no index stays as is for __post_init__ to name).
+            overrides = {
+                int(shard) if isinstance(shard, str) and shard.isdigit() else shard: patch
+                for shard, patch in overrides.items()
+            }
         if overrides is not None:
-            # JSON object keys are strings; config keys are shard indices.
-            data["overrides"] = {int(shard): patch for shard, patch in overrides.items()}
+            data["overrides"] = overrides
         data["autoscale"] = _pop_section(data, "autoscale", AutoscaleConfig)
         faults = data.pop("faults", None)
-        if faults is not None:
-            data["faults"] = tuple(
+        if isinstance(faults, (list, tuple)):
+            for index, fault in enumerate(faults):
+                _require(
+                    isinstance(fault, (dict, FaultConfig)),
+                    f"fleet.faults[{index}] must be a fault section mapping, "
+                    f"got {type(fault).__name__}",
+                )
+            faults = tuple(
                 fault if isinstance(fault, FaultConfig) else FaultConfig.from_dict(fault)
                 for fault in faults
             )
+        if faults is not None:
+            data["faults"] = faults
         return cls(**data)
 
 

@@ -55,7 +55,6 @@ from repro.serving.arrivals import ClosedLoopClients, Request
 from repro.serving.batcher import BatchCostModel
 from repro.serving.cache import ScanCache
 from repro.serving.control import AdmissionPolicy, PrefetchPolicy
-from repro.serving.elastic import ElasticFleet
 from repro.serving.fleet import FleetReport, ReplicaRouter, ShardedFleet
 from repro.serving.metrics import SLOReport
 from repro.serving.popularity import PopularityModel
@@ -235,45 +234,37 @@ class Engine:
         )
 
     def build_fleet(self) -> ShardedFleet:
-        """The sharded fleet of ``config.serving.fleet`` over this engine's store.
+        """The fleet of ``config.serving.fleet`` over this engine's store.
 
         Every shard gets its own policy, cache tier and batch-cost model (the
         store, backbone and read-policy calibration are shared — they are
         immutable under serving), so shards are fully independent nodes.
+        Scale-outs and post-crash recoveries build fresh cold-cache nodes
+        the same way; ``replicas > 1`` swaps the plain ring for a
+        :class:`~repro.serving.fleet.ReplicaRouter`; the autoscale policy
+        and fault injectors come from their registries.
         """
+        return self._build_fleet()
+
+    def build_elastic_fleet(self) -> ShardedFleet:
+        """:meth:`build_fleet`, checked: the section must enable replicas,
+        an autoscaler or a fault injector."""
+        fleet = self._serving_section().fleet
+        if fleet is None or not fleet.is_elastic:
+            raise ValueError(
+                "this config has no elastic 'serving.fleet' section; enable "
+                "replicas, autoscale, or faults (or use build_fleet)"
+            )
+        return self._build_fleet()
+
+    def _build_fleet(self) -> ShardedFleet:
+        # The one builder behind both public ones, which stay separately
+        # wrappable (a wrapper on one never nests inside the other).
         serving = self._serving_section()
         fleet = serving.fleet
         if fleet is None:
             raise ValueError(
                 "this config has no 'serving.fleet' section; add one to shard"
-            )
-        servers = [
-            self.build_server(serving.for_shard(shard))
-            for shard in range(fleet.num_shards)
-        ]
-        router = ROUTERS.build(
-            fleet.router,
-            shard_ids=range(fleet.num_shards),
-            virtual_nodes=fleet.virtual_nodes,
-            seed=fleet.seed,
-        )
-        return ShardedFleet(servers, router)
-
-    def build_elastic_fleet(self) -> ElasticFleet:
-        """The elastic fleet of an elastic ``serving.fleet`` section.
-
-        Shard servers come from a factory (scale-outs and post-crash
-        recoveries build fresh cold-cache nodes); ``replicas > 1`` swaps
-        the plain ring for a :class:`~repro.serving.fleet.ReplicaRouter`;
-        the autoscale policy and fault injectors come from their
-        registries.
-        """
-        serving = self._serving_section()
-        fleet = serving.fleet
-        if fleet is None or not fleet.is_elastic:
-            raise ValueError(
-                "this config has no elastic 'serving.fleet' section; enable "
-                "replicas, autoscale, or faults (or use build_fleet)"
             )
 
         def server_factory(shard: int) -> InferenceServer:
@@ -294,28 +285,24 @@ class Engine:
                 seed=fleet.seed,
             )
         autoscale = None
-        interval_s = 0.05
-        min_shards, max_shards = 1, 16
+        scaling = {}
         if fleet.autoscale is not None and fleet.autoscale.name != "none":
             autoscale = AUTOSCALE_POLICIES.build(
                 fleet.autoscale.name, **fleet.autoscale.options
             )
-            interval_s = fleet.autoscale.interval_s
-            min_shards = fleet.autoscale.min_shards
-            max_shards = fleet.autoscale.max_shards
-        injectors = [
-            FAULTS.build(fault.name, **fault.options) for fault in fleet.faults
-        ]
-        return ElasticFleet(
-            server_factory,
-            fleet.num_shards,
+            scaling = dict(
+                autoscale_interval_s=fleet.autoscale.interval_s,
+                min_shards=fleet.autoscale.min_shards,
+                max_shards=fleet.autoscale.max_shards,
+            )
+        return ShardedFleet(
+            [server_factory(shard) for shard in range(fleet.num_shards)],
             router,
+            server_factory=server_factory,
             autoscale=autoscale,
-            autoscale_interval_s=interval_s,
-            min_shards=min_shards,
-            max_shards=max_shards,
-            injectors=injectors,
+            injectors=[FAULTS.build(fault.name, **fault.options) for fault in fleet.faults],
             replicas=fleet.replicas,
+            **scaling,
         )
 
     def build_telemetry(self, serving=None) -> TelemetryPipeline | None:
@@ -410,18 +397,17 @@ class Engine:
                     "sharded fleets serve open-loop traces; closed-loop clients "
                     "are bound to one server's completion times"
                 )
-            if serving.fleet.is_elastic:
-                if serving.observability is not None:
+            elastic = serving.fleet.is_elastic
+            factory = None
+            if serving.observability is not None:
+                if elastic:
                     raise ValueError(
                         "elastic fleets do not support the observability "
                         "section: crash re-routes serve one request id on two "
                         "shards, which the tracer's shard-wise merge rejects"
                     )
-                return self.build_elastic_fleet().run(traffic)
-            fleet = self.build_fleet()
-            factory = None
-            if serving.observability is not None:
                 factory = lambda: self.build_telemetry(serving)  # noqa: E731
+            fleet = self.build_elastic_fleet() if elastic else self.build_fleet()
             report = fleet.run(traffic, telemetry_factory=factory)
             self.last_telemetry = fleet.last_telemetry
             return report

@@ -12,7 +12,7 @@ wall-clock second and per-component self time.  :mod:`repro.obs.exporters`
 joins all three into a kind-tagged :class:`~repro.obs.exporters.TelemetryReport`
 plus JSONL dumps, and packages them as the :class:`~repro.obs.exporters.TelemetryPipeline`
 the engine attaches to a server (and :class:`~repro.serving.fleet.ShardedFleet`
-merges shard-wise).
+merges shard-wise; a fleet with an elastic feature refuses telemetry).
 
 Telemetry is strictly read-only: with a pipeline attached, the simulator's
 own reports are byte-for-byte identical to a run without one.

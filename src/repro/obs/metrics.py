@@ -388,7 +388,7 @@ class MetricsCollector(ServerObserver):
             event, (ShardAdded, ShardRemoved, ShardCrashed, ShardRecovered)
         ):
             # Fleet topology churn: one counter covers all four edges (the
-            # elastic fleet report carries the per-kind breakdown).
+            # elastic-fleet report carries the per-kind breakdown).
             registry.inc("topology_events", time)
 
     def merge(self, other: "MetricsCollector") -> None:

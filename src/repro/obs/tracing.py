@@ -311,7 +311,7 @@ class RequestTracer(ServerObserver):
             event, (ShardAdded, ShardRemoved, ShardCrashed, ShardRecovered)
         ):
             # Fleet topology events carry no request to trace; they matter to
-            # the elastic fleet report, not to per-request span trees.
+            # the elastic-fleet report, not to per-request span trees.
             return
 
     def orphans(self) -> list[int]:

@@ -37,7 +37,10 @@ composes every existing layer under one simulated clock:
 * :mod:`repro.serving.fleet` — multi-node composition: a seeded
   consistent-hash router partitions the request key space across several
   servers (each with its own cache tier and worker pool) and merges their
-  reports into per-shard + fleet-wide SLOs.
+  reports into per-shard + fleet-wide SLOs; replica groups, autoscaling
+  (:mod:`repro.serving.autoscale`) and fault injection
+  (:mod:`repro.serving.faults`) run through the same fleet loop, whose
+  topology steps live in :mod:`repro.serving.elastic`.
 
 Runs are fully deterministic under a fixed seed: identical configurations
 produce identical :class:`~repro.serving.metrics.SLOReport` objects.

@@ -1,7 +1,8 @@
 """Autoscale policies: turn fleet load signals into shard add/remove steps.
 
-The elastic fleet (:mod:`repro.serving.elastic`) evaluates its autoscale
-policy at fixed sim-time epochs.  At each epoch it folds the interval's
+A fleet with an autoscaler (:class:`~repro.serving.fleet.ShardedFleet`,
+stepping through :mod:`repro.serving.elastic`) evaluates its policy at
+fixed sim-time epochs.  At each epoch it folds the interval's
 traffic into one :class:`LoadSignal` — offered/completed/dropped counts,
 the in-flight backlog, the live shard count — and asks the policy for a
 shard delta.  The fleet clamps the answer to the configured

@@ -1,6 +1,6 @@
 """Seeded fault injectors: crash/recovery schedules and degraded storage.
 
-A chaos run is a normal elastic-fleet run plus a deterministic *fault
+A chaos run is a normal fleet run plus a deterministic *fault
 schedule*: a sorted list of :class:`FaultEvent` edges saying when a shard
 crashes, when it recovers, and when its storage link degrades or heals.
 Injectors — registered in :data:`~repro.api.registry.FAULTS` and selected
@@ -9,10 +9,11 @@ schedule up front from the run horizon and the initial shard count, so the
 whole chaos scenario is a pure function of the config: same seed, same
 faults, byte-identical report.
 
-The fleet applies the edges at segment boundaries
-(:mod:`repro.serving.elastic`): a crash kills the shard's in-flight work
-(re-routed to survivors), a recovery re-adds the shard with a cold cache,
-and a degraded window scales the shard's
+The fleet applies the edges at segment boundaries, in
+:func:`sort_schedule` order (:mod:`repro.serving.elastic` holds the
+steps): a crash kills the shard's in-flight work (re-routed to
+survivors), a recovery re-adds the shard with a cold cache, and a degraded
+window scales the shard's
 :class:`~repro.storage.bandwidth.StorageBandwidthModel` link down by the
 window's factor.
 """
@@ -20,18 +21,22 @@ window's factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from repro.api.registry import FAULTS
 
-#: FaultEvent.kind values, in the order ties resolve at one instant.
 CRASH = "crash"
 RECOVER = "recover"
 DEGRADE_START = "degrade-start"
 DEGRADE_END = "degrade-end"
 
-_KINDS = (CRASH, RECOVER, DEGRADE_START, DEGRADE_END)
+#: FaultEvent.kind values, in the order edges at one instant apply.  A
+#: shard recovers before a window starting at that instant is applied to
+#: it (a window applied to a down shard would be lost), and a window ends
+#: before the next one on the same shard starts.
+_KINDS = (CRASH, RECOVER, DEGRADE_END, DEGRADE_START)
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,8 @@ class FaultInjector:
         raise NotImplementedError
 
 
-def _sorted(events: list[FaultEvent]) -> list[FaultEvent]:
-    """Schedule order: time, then kind (crash before recover), then shard."""
+def sort_schedule(events: Iterable[FaultEvent]) -> list[FaultEvent]:
+    """Schedule order: time, then kind in :data:`_KINDS` order, then shard."""
     return sorted(
         events, key=lambda e: (e.time, _KINDS.index(e.kind), e.shard_id)
     )
@@ -129,7 +134,7 @@ class CrashSchedule(FaultInjector):
                         shard_id=crash["shard"],
                     )
                 )
-        return _sorted(events)
+        return sort_schedule(events)
 
 
 @FAULTS.register("random-crashes")
@@ -164,7 +169,7 @@ class RandomCrashes(FaultInjector):
             events.append(
                 FaultEvent(time=at_s + max(down_s, 1e-9), kind=RECOVER, shard_id=shard)
             )
-        return _sorted(events)
+        return sort_schedule(events)
 
 
 @FAULTS.register("degraded-storage")
@@ -233,4 +238,4 @@ class DegradedStorage(FaultInjector):
                     shard_id=window["shard"],
                 )
             )
-        return _sorted(events)
+        return sort_schedule(events)

@@ -9,15 +9,21 @@ the request key space.  This module composes them:
   improves with the virtual-node count, and adding or removing a shard
   remaps only the keys that ring segment owned (the classic consistent-
   hashing stability property, which is what keeps per-shard caches warm
-  across fleet resizes);
+  across fleet resizes); :class:`ReplicaRouter` maps each key onto a
+  group of R shards;
 * :class:`ShardedFleet` — partitions an open-loop arrival trace across N
   servers by routed key.  Each shard owns its own cache tier, batcher and
   worker pool and runs its sub-trace on its own simulated clock (shards
-  share no state, so they serve concurrently in simulated time);
+  share no state, so they serve concurrently in simulated time).  Replica
+  groups, autoscaling and fault injection run through the same loop: it
+  serves the trace in segments cut at each fault edge and autoscale
+  epoch, and :mod:`repro.serving.elastic` applies the topology steps at
+  the boundaries — a fleet with none of them serves one segment;
 * :class:`FleetReport` — per-shard :class:`~repro.serving.metrics.SLOReport`
   objects plus fleet-wide aggregates (throughput over the whole fleet
   timeline, latency percentiles over every served request, merged cache
-  stats, and a load-imbalance factor).
+  stats, and a load-imbalance factor); :class:`ElasticFleetReport` adds
+  topology and disruption columns when an elastic feature is configured.
 
 This is *request* sharding for online serving.  It is unrelated to
 :mod:`repro.core.sharding`, which shards *training data* across
@@ -34,16 +40,25 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, fields
-from typing import Any, Iterable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.api.registry import ROUTERS
 from repro.api.reports import Report, report_type
 from repro.serving.arrivals import Request
-from repro.serving.cache import CacheStats
-from repro.serving.metrics import RequestRecords, SLOReport, build_report
+from repro.serving.autoscale import AutoscalePolicy, NoAutoscale
+from repro.serving.elastic import (
+    COUNTERS,
+    FLEET_DOWN,
+    Topology,
+    merge_cache_stats,
+)
+from repro.serving.events import ServerObserver
+from repro.serving.faults import FaultInjector, sort_schedule
+from repro.serving.metrics import RequestRecords, ServedRequest, SLOReport, build_report
 from repro.serving.server import InferenceServer
 from repro.serving.workload import ArrivalStream
 
@@ -140,15 +155,6 @@ class ConsistentHashRouter:
             index = 0
         return self._ring[index][1]
 
-    def route_request(self, key: str, request_id: int) -> Any:
-        """Per-request routing hook; the plain ring ignores ``request_id``.
-
-        :class:`ReplicaRouter` overrides this with seeded replica selection;
-        having it here lets the elastic fleet route per request through
-        either router without type checks.
-        """
-        return self.route(key)
-
     def successors(self, key: str) -> list[Any]:
         """Distinct live shards in ring order from ``key``'s position.
 
@@ -198,7 +204,7 @@ class ReplicaRouter:
     survivors of each set.
 
     With ``replicas=1`` every method degenerates to the wrapped ring
-    exactly, which is what keeps static fleets byte-identical.
+    exactly.
     """
 
     def __init__(
@@ -403,18 +409,85 @@ class FleetReport(Report):
         return "\n".join(lines)
 
 
-def _merge_cache_stats(stats: Sequence[CacheStats]) -> CacheStats | None:
-    if not stats:
-        return None
-    merged = CacheStats()
-    for shard_stats in stats:
-        for stat_field in fields(CacheStats):
-            setattr(
-                merged,
-                stat_field.name,
-                getattr(merged, stat_field.name) + getattr(shard_stats, stat_field.name),
-            )
-    return merged
+@report_type("elastic-fleet")
+@dataclass(frozen=True)
+class ElasticFleetReport(FleetReport):
+    """A :class:`FleetReport` plus elasticity columns.
+
+    The inherited fields aggregate exactly as for any fleet (per ever-live
+    shard, fleet-wide merge, offered-load imbalance) — ``num_shards``
+    counts every shard that was ever live.  The extra columns describe the
+    run's dynamics: topology churn (``shards_added``/``shards_removed``),
+    chaos impact (``crashes``, ``recoveries``, ``crash_rerouted_requests``,
+    ``mean_time_to_recover_s``), the remap re-warm bill (``rewarm_bytes``),
+    and the SLO split between requests arriving inside a fault window — a
+    shard's downtime or degraded-bandwidth span — (``disrupted_p99_ms``)
+    and outside every window (``steady_p99_ms``); the split percentiles are
+    ``None`` when their population is empty, and ``mean_time_to_recover_s``
+    is ``None`` when nothing recovered.
+    """
+
+    replicas: int = 1
+    final_num_shards: int = 0
+    shards_added: int = 0
+    shards_removed: int = 0
+    crashes: int = 0
+    recoveries: int = 0
+    crash_rerouted_requests: int = 0
+    rewarm_bytes: int = 0
+    mean_time_to_recover_s: float | None = None
+    disrupted_p99_ms: float | None = None
+    steady_p99_ms: float | None = None
+
+    def format(self) -> str:
+        """An elasticity block on top of the fleet rendering."""
+        mttr = (
+            f"{self.mean_time_to_recover_s * 1e3:.2f} ms"
+            if self.mean_time_to_recover_s is not None
+            else "-"
+        )
+        disrupted = (
+            f"{self.disrupted_p99_ms:.2f}" if self.disrupted_p99_ms is not None else "-"
+        )
+        steady = f"{self.steady_p99_ms:.2f}" if self.steady_p99_ms is not None else "-"
+        lines = [
+            f"replicas               {self.replicas}",
+            f"final shards           {self.final_num_shards} "
+            f"(+{self.shards_added}/-{self.shards_removed} autoscale)",
+            f"crashes                {self.crashes} "
+            f"({self.recoveries} recovered, mttr {mttr})",
+            f"crash re-routed        {self.crash_rerouted_requests}",
+            f"rewarm bytes           {self.rewarm_bytes}",
+            f"p99 disrupted/steady   {disrupted} / {steady} ms",
+        ]
+        return "\n".join(lines) + "\n" + super().format()
+
+
+def _p99_ms(latencies_ms: np.ndarray) -> float | None:
+    return float(np.percentile(latencies_ms, 99)) if len(latencies_ms) else None
+
+
+def _as_stream(trace: Sequence[Request]) -> ArrivalStream:
+    """The trace in columnar form (a stream is returned as is)."""
+    if isinstance(trace, ArrivalStream):
+        return trace
+    return ArrivalStream(
+        [request.arrival_time for request in trace],
+        [request.key for request in trace],
+        [request.request_id for request in trace],
+    )
+
+
+def _arrival_order(stream: ArrivalStream) -> ArrivalStream:
+    """``stream`` sorted by (arrival time, request id).
+
+    A stream already in that order — every generated trace — is returned
+    as is, so a large trace is never copied.
+    """
+    order = np.lexsort((stream.request_ids, stream.times))
+    if np.array_equal(order, np.arange(len(order))):
+        return stream
+    return stream.take(order)
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +496,63 @@ def _merge_cache_stats(stats: Sequence[CacheStats]) -> CacheStats | None:
 
 
 class ShardedFleet:
-    """Partition an open-loop trace across N independent inference servers.
+    """Serve an open-loop trace across a fleet of independent inference servers.
 
-    Shards are identified by their index in ``servers``; the router must
-    cover exactly those indices.  Each shard serves its routed sub-trace on
-    its own event loop (shards share the store's *contents* but nothing
-    mutable), and the per-shard reports merge into one :class:`FleetReport`.
-    A single-shard fleet is behaviourally identical to calling
-    ``servers[0].run(trace)`` directly.
+    ``servers`` are the initial shards, identified by their index; the
+    router must cover exactly those indices.  Each shard serves its routed
+    sub-trace on its own event loop (shards share the store's *contents*
+    but nothing mutable), and the per-shard tallies fold into one
+    :class:`FleetReport`.  A single-shard fleet is behaviourally identical
+    to calling ``servers[0].run(trace)`` directly.
+
+    The fleet becomes elastic when any of these is configured:
+    ``replicas`` > 1 (the router is then a :class:`ReplicaRouter` and each
+    request picks a shard inside its key's replica group), an
+    ``autoscale`` policy (evaluated every ``autoscale_interval_s`` of
+    simulated time, its delta clamped to ``[min_shards, max_shards]``), or
+    fault ``injectors``.  ``server_factory`` builds one fresh server per
+    shard id for scale-outs (ids increase and are never reused) and for
+    post-crash recoveries, both with a cold cache.  ``observers`` receive
+    the topology events (:class:`~repro.serving.events.ShardAdded` & co.);
+    per-request events stay inside each shard's own loop.  An elastic run
+    returns an :class:`ElasticFleetReport`; every other run returns a plain
+    :class:`FleetReport`.
+
+    After :meth:`run`, :attr:`last_records` (all completions, shard by
+    shard), :attr:`last_served` (the same as id-sorted objects),
+    :attr:`last_dropped` (``(request, reason)`` pairs) and
+    :attr:`last_events` (topology events in order) expose the raw outcome
+    of every arrival.
     """
 
     def __init__(
         self,
         servers: Sequence[InferenceServer],
-        router: ConsistentHashRouter | None = None,
-        virtual_nodes: int = 64,
-        seed: int = 0,
+        router: ConsistentHashRouter | ReplicaRouter | None = None,
+        *,
+        server_factory: Callable[[int], InferenceServer] | None = None,
+        autoscale: AutoscalePolicy | None = None,
+        autoscale_interval_s: float = 0.05,
+        min_shards: int = 1,
+        max_shards: int = 16,
+        injectors: Sequence[FaultInjector] = (),
+        observers: Sequence[ServerObserver] = (),
+        replicas: int = 1,
     ) -> None:
         if not servers:
             raise ValueError("a fleet needs at least one server")
         self.servers = list(servers)
-        self.router = router or ConsistentHashRouter(
-            range(len(self.servers)), virtual_nodes=virtual_nodes, seed=seed
-        )
+        self.router = router or ConsistentHashRouter(range(len(self.servers)))
         expected = set(range(len(self.servers)))
         if set(self.router.shard_ids) != expected:
             raise ValueError(
                 f"router shards {self.router.shard_ids} do not match the "
                 f"server indices {sorted(expected)}"
+            )
+        if getattr(self.router, "replicas", 1) != replicas:
+            raise ValueError(
+                f"the router holds {getattr(self.router, 'replicas', 1)} replicas "
+                f"per key but the fleet was given replicas={replicas}"
             )
         # The fleet-wide report prices all bytes with one bandwidth model, so
         # a heterogeneous fleet would make the fleet row contradict the
@@ -461,6 +563,28 @@ class ShardedFleet:
                 "fleet servers must share one StorageBandwidthModel; "
                 f"got {len(bandwidths)} distinct models"
             )
+        if autoscale_interval_s <= 0:
+            raise ValueError("autoscale_interval_s must be positive")
+        if min_shards <= 0 or max_shards < min_shards:
+            raise ValueError("need 0 < min_shards <= max_shards")
+        if isinstance(autoscale, NoAutoscale):
+            autoscale = None  # the no-op policy never changes anything
+        if (autoscale is not None or injectors) and server_factory is None:
+            raise ValueError(
+                "autoscaling and fault injection need a server_factory to "
+                "build scale-outs and recovered shards"
+            )
+        self.server_factory = server_factory
+        self.autoscale = autoscale
+        self.autoscale_interval_s = autoscale_interval_s
+        self.min_shards = min_shards
+        self.max_shards = max_shards
+        self.injectors = list(injectors)
+        self.observers = list(observers)
+        self.replicas = replicas
+        self.last_records = RequestRecords()
+        self.last_dropped: list[tuple[Request, str]] = []
+        self.last_events: list = []
         # The merged per-shard telemetry of the most recent run() with a
         # telemetry_factory (a repro.obs.exporters.TelemetryPipeline).
         self.last_telemetry = None
@@ -469,112 +593,201 @@ class ShardedFleet:
     def num_shards(self) -> int:
         return len(self.servers)
 
-    def partition(self, trace: Sequence[Request]) -> list[Sequence[Request]]:
-        """Split a trace by routed key, preserving arrival order per shard.
+    @property
+    def is_elastic(self) -> bool:
+        """True when replicas, an autoscaler or a fault injector is configured."""
+        return self.replicas > 1 or self.autoscale is not None or bool(self.injectors)
 
-        Routing is memoized per key (the ring hash is pure), and a columnar
-        :class:`~repro.serving.workload.ArrivalStream` partitions into
-        sub-streams by index — no per-request objects — so each shard's
-        event loop receives a cursor-mergeable stream.
+    @property
+    def last_served(self) -> list[ServedRequest]:
+        """The most recent run's completions as objects, in request-id order."""
+        return sorted(self.last_records.materialize(), key=lambda r: r.request_id)
+
+    def partition(self, trace: Sequence[Request]) -> dict[int, ArrivalStream]:
+        """Split a trace by routed shard, preserving arrival order per shard.
+
+        Returns one sub-stream per live shard, keyed by shard id in id
+        order.  With one replica, routing is a pure function of the key and
+        is computed once per distinct key; a replica group picks per
+        request.  Sub-streams are columnar, so each shard's event loop
+        merges them through its arrival cursor.
         """
-        route_of: dict[str, int] = {}
-
-        def route(key: str) -> int:
-            shard = route_of.get(key)
-            if shard is None:
-                shard = route_of[key] = self.router.route(key)
-            return shard
-
-        if isinstance(trace, ArrivalStream):
-            shard_of = np.fromiter(
-                (route(key) for key in trace.keys), dtype=np.int64, count=len(trace)
+        stream = _as_stream(trace)
+        router = self.router
+        if self.replicas == 1:
+            route_of = {key: router.route(key) for key in dict.fromkeys(stream.keys)}
+            shards = (route_of[key] for key in stream.keys)
+        else:
+            shards = (
+                router.route_request(key, int(request_id))
+                for key, request_id in zip(stream.keys, stream.request_ids)
             )
-            return [
-                trace.take(np.flatnonzero(shard_of == shard_id))
-                for shard_id in range(len(self.servers))
-            ]
-        shards: list[list[Request]] = [[] for _ in self.servers]
-        for request in trace:
-            shards[route(request.key)].append(request)
-        return shards
+        shard_of = np.fromiter(shards, dtype=np.int64, count=len(stream))
+        return {
+            shard_id: stream.take(np.flatnonzero(shard_of == shard_id))
+            for shard_id in sorted(router.shard_ids)
+        }
 
+    # -- the run -----------------------------------------------------------------
     def run(self, trace: Sequence[Request], telemetry_factory=None) -> FleetReport:
-        """Serve the trace across the fleet and merge the shard reports.
+        """Serve the trace across the fleet and fold the shard tallies.
+
+        The trace is served in segments cut at every fault edge and
+        autoscale epoch (a fleet with neither serves one segment): each
+        live shard serves its routed slice of a segment through
+        ``server.run``, then the boundary's topology steps apply.
 
         ``telemetry_factory``, when given, is a zero-argument callable
         producing one fresh :class:`~repro.obs.exporters.TelemetryPipeline`
-        per active shard; each pipeline observes its shard's run, and the
+        per active shard; each pipeline observes its shard's runs, and the
         shard-wise merge (raw histograms and span sets, not derived stats —
         percentiles cannot merge post hoc) lands in :attr:`last_telemetry`.
         Shards share one simulated timeline, so merged windows align by
         index and fleet-wide per-window percentiles are true merges.
         """
-        if not trace:
+        pending = _arrival_order(_as_stream(trace))
+        if not len(pending):
             raise ValueError("cannot serve an empty trace")
-        sub_traces = self.partition(trace)
+        horizon = float(pending.times[-1])
+        topology = Topology(self.servers, self.router, self.server_factory, self.observers)
+        faults = sort_schedule(
+            event
+            for injector in self.injectors
+            for event in injector.schedule(horizon, self.num_shards)
+        )
+        epochs: set[float] = set()
+        if self.autoscale is not None:
+            self.autoscale.reset()
+            count = 1
+            while count * self.autoscale_interval_s < horizon:
+                epochs.add(count * self.autoscale_interval_s)
+                count += 1
+        self.last_dropped = []
+        pipelines: dict[int, Any] = {}
+        cursor = 0
 
+        def serve_until(until: float) -> None:
+            """Route and serve every pending arrival before ``until``."""
+            nonlocal cursor
+            if not topology.live:
+                return  # nothing live: arrivals wait for a recovery
+            end = int(np.searchsorted(pending.times, until, side="left"))
+            if end <= cursor:
+                return
+            segment = pending
+            if (cursor, end) != (0, len(pending)):
+                segment = ArrivalStream(
+                    pending.times[cursor:end],
+                    pending.keys[cursor:end],
+                    pending.request_ids[cursor:end],
+                )
+            cursor = end
+            topology.seen_keys.update(segment.keys)
+            topology.routed += len(segment)
+            for shard_id, sub_trace in self.partition(segment).items():
+                if not len(sub_trace):
+                    continue
+                if telemetry_factory is not None and shard_id not in pipelines:
+                    pipelines[shard_id] = telemetry_factory()
+                state = topology.live[shard_id]
+                state.serve(sub_trace, pipelines.get(shard_id))
+                self.last_dropped.extend(state.server.last_dropped)
+
+        fault_index = 0
+        for boundary in sorted({event.time for event in faults} | epochs):
+            serve_until(boundary)
+            while fault_index < len(faults) and faults[fault_index].time <= boundary:
+                event = faults[fault_index]
+                fault_index += 1
+                doomed = topology.apply(event)
+                if doomed:
+                    # Re-inject the failed work at the crash time, in
+                    # (time, id) order with everything still pending.
+                    times = np.concatenate(
+                        [pending.times[cursor:], np.full(len(doomed), event.time)]
+                    )
+                    ids = np.concatenate(
+                        [pending.request_ids[cursor:], doomed.column("request_ids")]
+                    )
+                    keys = pending.keys[cursor:] + doomed.keys
+                    pending = _arrival_order(ArrivalStream(times, keys, ids))
+                    cursor = 0
+            if boundary in epochs:
+                topology.autoscale_epoch(
+                    boundary, self.autoscale, self.min_shards, self.max_shards
+                )
+        serve_until(math.inf)
+        # Whatever is still pending never found a live shard: the fleet is down.
+        fleet_down = len(pending) - cursor
+        self.last_dropped.extend(
+            (pending[index], FLEET_DOWN) for index in range(cursor, len(pending))
+        )
+        self.last_events = topology.events
         self.last_telemetry = None
-        pipelines = []
+        if pipelines:
+            merged_telemetry, *rest = pipelines.values()
+            for pipeline in rest:
+                merged_telemetry.merge(pipeline)
+            self.last_telemetry = merged_telemetry
+        return self._fold(topology, fleet_down)
+
+    # -- reporting ---------------------------------------------------------------
+    def _fold(self, topology: Topology, fleet_down: int) -> FleetReport:
+        """Merge every ever-live shard's tallies into the fleet report."""
+        states = sorted(topology.states().items())
         shard_reports: list[ShardReport] = []
         # build_report sorts by request id, so concatenating the shards'
         # records in shard order yields the fleet-wide statistics directly.
         merged = RequestRecords()
-        store_requests = 0
-        degraded = 0
-        dropped = 0
-        prefetch_bytes = 0
-        prefetch_hits = 0
-        prefetch_wasted = 0
-        cache_stats = []
-        for shard_id, (server, sub_trace) in enumerate(zip(self.servers, sub_traces)):
-            if not sub_trace:
-                shard_reports.append(ShardReport(shard_id, 0, None))
-                continue
-            pipeline = telemetry_factory() if telemetry_factory is not None else None
-            if pipeline is not None:
-                pipeline.attach(server)
-            try:
-                report = server.run(sub_trace)
-            finally:
-                if pipeline is not None:
-                    pipeline.detach(server)
-            if pipeline is not None:
-                pipelines.append(pipeline)
-            shard_reports.append(ShardReport(shard_id, report.num_requests, report))
-            merged.extend(server.last_records)
-            store_requests += server.store_requests
-            degraded += report.degraded_requests
-            dropped += report.dropped_requests
-            prefetch_bytes += report.prefetch_bytes
-            prefetch_hits += report.prefetch_hits
-            prefetch_wasted += report.prefetch_wasted_bytes
-            if server.cache is not None:
-                cache_stats.append(server.cache.stats)
-
+        for shard_id, state in states:
+            merged.extend(state.served)
+            report = state.report()
+            shard_reports.append(
+                ShardReport(shard_id, report.num_requests if report else 0, report)
+            )
+        active = [state for _, state in states if state.offered]
+        counts = {name: sum(state.counts[name] for state in active) for name in COUNTERS}
+        counts["dropped_requests"] += fleet_down
         fleet = build_report(
             merged,
-            bandwidth=self.servers[0].bandwidth,
-            store_requests=store_requests,
-            cache_stats=_merge_cache_stats(cache_stats),
-            degraded_requests=degraded,
-            dropped_requests=dropped,
-            prefetch_bytes=prefetch_bytes,
-            prefetch_hits=prefetch_hits,
-            prefetch_wasted_bytes=prefetch_wasted,
+            bandwidth=states[0][1].base_bandwidth,  # shard 0 is always among them
+            store_requests=sum(state.store_requests for state in active),
+            cache_stats=merge_cache_stats(
+                [stats for state in active for stats in state.cache_stats]
+            ),
+            **counts,
         )
-        if pipelines:
-            merged_telemetry = pipelines[0]
-            for pipeline in pipelines[1:]:
-                merged_telemetry.merge(pipeline)
-            self.last_telemetry = merged_telemetry
-
+        self.last_records = merged
         # Imbalance is over *offered* (routed) per-shard load: what the
         # router dealt each shard, before any admission policy shed work.
-        offered = [len(sub_trace) for sub_trace in sub_traces]
-        return FleetReport(
-            num_shards=self.num_shards,
+        offered = [state.offered for _, state in states]
+        columns = dict(
+            num_shards=len(states),
             shards=tuple(shard_reports),
             fleet=fleet,
             load_imbalance=load_imbalance_factor(offered),
             idle_shards=sum(1 for count in offered if count == 0),
+        )
+        if not self.is_elastic:
+            return FleetReport(**columns)
+
+        arrivals = merged.column("arrival_times")
+        latencies_ms = 1e3 * (merged.column("completion_times") - arrivals)
+        disrupted = np.zeros(len(merged), dtype=bool)
+        for start, end in topology.fault_windows:
+            disrupted |= (start <= arrivals) & (arrivals <= end)
+        downtimes = topology.downtimes
+        return ElasticFleetReport(
+            **columns,
+            replicas=self.replicas,
+            final_num_shards=len(topology.live),
+            shards_added=topology.shards_added,
+            shards_removed=topology.shards_removed,
+            crashes=topology.crashes,
+            recoveries=topology.recoveries,
+            crash_rerouted_requests=topology.crash_rerouted,
+            rewarm_bytes=topology.rewarm_bytes,
+            mean_time_to_recover_s=sum(downtimes) / len(downtimes) if downtimes else None,
+            disrupted_p99_ms=_p99_ms(latencies_ms[disrupted]),
+            steady_p99_ms=_p99_ms(latencies_ms[~disrupted]),
         )

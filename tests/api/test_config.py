@@ -1,5 +1,8 @@
 """Config validation and dict/JSON round-trips."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api.config import (
@@ -272,6 +275,54 @@ class TestSectionValidation:
     def test_serving_rejects_unknown_admission_keys(self):
         with pytest.raises(ValueError, match="AdmissionConfig"):
             ServingConfig.from_dict({"admission": {"name": "ewma", "optionz": {}}})
+
+
+SHARDED_CONFIG = (
+    Path(__file__).resolve().parents[2] / "examples" / "configs" / "serving_sharded.json"
+)
+
+
+class TestFleetSectionValidation:
+    """Malformed ``serving.fleet`` input fails at load, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value, names",
+        [
+            (None, [], "fleet must be a mapping"),
+            (None, "x", "fleet must be a mapping"),
+            ("faults", {"name": "crash-schedule"}, "fleet.faults"),
+            ("autoscale", "threshold", "autoscale must be a mapping"),
+            ("num_shards", "2", "fleet.num_shards"),
+            ("replicas", "2", "fleet.replicas"),
+            ("virtual_nodes", None, "fleet.virtual_nodes"),
+            ("faults", [1], r"fleet.faults\[0\]"),
+            ("overrides", [1], "fleet.overrides"),
+            ("num_shards", 2.5, "fleet.num_shards"),
+            ("replicas", 1.5, "fleet.replicas"),
+            ("replicas", True, "fleet.replicas"),
+            ("seed", "7", "fleet.seed"),
+            ("overrides", {"first": {"num_workers": 1}}, "fleet.overrides key"),
+            ("autoscale", {"name": "threshold", "min_shards": 1.5}, "autoscale.min_shards"),
+            ("autoscale", {"name": "threshold", "interval_s": "1"}, "autoscale.interval_s"),
+            ("faults", [{"name": 3}], "fault.name"),
+        ],
+    )
+    def test_malformed_input_raises_a_value_error_naming_the_field(
+        self, field, value, names
+    ):
+        data = json.loads(SHARDED_CONFIG.read_text())
+        if field is None:
+            data["serving"]["fleet"] = value
+        else:
+            data["serving"]["fleet"][field] = value
+        with pytest.raises(ValueError, match=names):
+            EngineConfig.from_dict(data)
+
+    def test_the_unmodified_config_loads(self):
+        data = json.loads(SHARDED_CONFIG.read_text())
+        config = EngineConfig.from_dict(json.loads(SHARDED_CONFIG.read_text()))
+        assert config.serving.fleet.num_shards == data["serving"]["fleet"]["num_shards"]
+        assert config.serving.fleet.overrides == {0: data["serving"]["fleet"]["overrides"]["0"]}
 
 
 class TestOverrides:

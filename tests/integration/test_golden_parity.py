@@ -156,9 +156,9 @@ def test_disabled_elastic_sections_match_the_static_golden() -> None:
     """Elastic sections configured but *disabled* are byte-invisible.
 
     ``replicas: 1``, ``autoscale.name: "none"`` and ``faults: []`` must
-    leave the run on the static ``ShardedFleet`` path — the report is
+    leave the fleet without a segment boundary — the report is
     byte-identical to the pinned ``serving_sharded`` golden, which is the
-    differential gate that the elastic layer cannot perturb existing
+    differential gate that the elastic features cannot perturb existing
     configs.
     """
     data = json.loads((CONFIG_DIR / "serving_sharded.json").read_text())
@@ -167,6 +167,6 @@ def test_disabled_elastic_sections_match_the_static_golden() -> None:
     fleet["autoscale"] = {"name": "none"}
     fleet["faults"] = []
     report = Engine(EngineConfig.from_dict(data)).serve()
-    assert report.kind == "fleet"  # not elastic-fleet: the static path ran
+    assert report.kind == "fleet"  # not elastic-fleet: nothing elastic ran
     expected = (GOLDEN_DIR / "serving_sharded.json").read_text()
     assert report.to_json() + "\n" == expected

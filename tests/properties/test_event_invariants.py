@@ -35,7 +35,6 @@ from repro.serving.arrivals import OnOffArrivals, PoissonArrivals
 from repro.serving.autoscale import ThresholdAutoscaler
 from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
-from repro.serving.elastic import ElasticFleet
 from repro.serving.events import (
     BatchFlushed,
     RequestArrived,
@@ -46,7 +45,7 @@ from repro.serving.events import (
     ShardAdded,
     ShardRemoved,
 )
-from repro.serving.fleet import ConsistentHashRouter
+from repro.serving.fleet import ConsistentHashRouter, ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.serving.traces import TraceRecord
 from repro.serving.workload import ArrivalStream, DiurnalArrivals, TraceReplayArrivals
@@ -277,10 +276,14 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     across every boundary.
     """
     horizon = params["num_requests"] / params["rate_rps"]
-    fleet = ElasticFleet(
-        lambda shard_id: _server(_fresh_store()),
-        2,
+
+    def server_factory(shard_id):
+        return _server(_fresh_store())
+
+    fleet = ShardedFleet(
+        [server_factory(0), server_factory(1)],
         ConsistentHashRouter(range(2), seed=11),
+        server_factory=server_factory,
         autoscale=ThresholdAutoscaler(
             high_rps_per_shard=params["rate_rps"] / 4.0,
             low_rps_per_shard=params["rate_rps"] / 32.0,

@@ -15,11 +15,13 @@ Hypothesis drives randomized fault schedules (explicit crash/recovery
 plans and degraded-bandwidth windows over random traffic) and checks that
 partition, that no request id completes twice, and that the whole run is a
 pure function of its configuration — a same-seed rerun produces a
-byte-identical :class:`~repro.serving.elastic.ElasticFleetReport`.
+byte-identical :class:`~repro.serving.fleet.ElasticFleetReport`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,10 +34,10 @@ from repro.serving.arrivals import PoissonArrivals
 from repro.serving.autoscale import ThresholdAutoscaler
 from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
-from repro.serving.elastic import FLEET_DOWN, ElasticFleet
+from repro.serving.elastic import FLEET_DOWN
 from repro.serving.events import ShardCrashed, ShardRecovered
 from repro.serving.faults import CrashSchedule, DegradedStorage
-from repro.serving.fleet import ConsistentHashRouter, ReplicaRouter
+from repro.serving.fleet import ConsistentHashRouter, ReplicaRouter, ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
@@ -96,7 +98,7 @@ def _server_factory(shard_id: int) -> InferenceServer:
     )
 
 
-def _build_fleet(plan, autoscale=None) -> ElasticFleet:
+def _build_fleet(plan, autoscale=None) -> ShardedFleet:
     num_shards = plan["num_shards"]
     horizon = plan["num_requests"] / plan["rate_rps"]
     crashes = [
@@ -129,10 +131,10 @@ def _build_fleet(plan, autoscale=None) -> ElasticFleet:
         router = ReplicaRouter(range(num_shards), replicas=plan["replicas"], seed=11)
     else:
         router = ConsistentHashRouter(range(num_shards), seed=11)
-    return ElasticFleet(
-        _server_factory,
-        num_shards,
+    return ShardedFleet(
+        [_server_factory(shard) for shard in range(num_shards)],
         router,
+        server_factory=_server_factory,
         autoscale=autoscale,
         autoscale_interval_s=max(horizon / 6.0, 1e-4),
         min_shards=1,
@@ -149,8 +151,13 @@ def _trace(plan):
     return process.trace(_store().keys(), plan["num_requests"])
 
 
-def _assert_conservation(plan, fleet: ElasticFleet, report) -> None:
-    """Every arrival completed once XOR dropped once; tallies line up."""
+def _assert_conservation(plan, fleet: ShardedFleet, report) -> None:
+    """Every arrival completed once XOR dropped once; tallies line up.
+
+    A plan with nothing elastic in it (one replica, no crash, no window)
+    runs as a plain fleet: kind ``fleet`` and no topology events, so the
+    elastic columns are checked only on an elastic report.
+    """
     trace_ids = set(range(plan["num_requests"]))
     served_ids = [record.request_id for record in fleet.last_served]
     dropped_ids = [request.request_id for request, _ in fleet.last_dropped]
@@ -165,6 +172,11 @@ def _assert_conservation(plan, fleet: ElasticFleet, report) -> None:
     # Topology events are time-ordered and crash/recover counts agree.
     times = [event.time for event in fleet.last_events]
     assert times == sorted(times)
+    if report.kind == "fleet":
+        assert not plan["crashes"] and not plan["degrades"] and plan["replicas"] == 1
+        assert fleet.last_events == []
+        return
+    assert report.kind == "elastic-fleet"
     crash_events = [e for e in fleet.last_events if isinstance(e, ShardCrashed)]
     recover_events = [e for e in fleet.last_events if isinstance(e, ShardRecovered)]
     assert report.crashes == len(crash_events)
@@ -296,3 +308,53 @@ def test_replicas_keep_keys_servable_across_a_crash() -> None:
     assert report.recoveries == report.crashes == 1
     assert report.mean_time_to_recover_s is not None
     assert report.mean_time_to_recover_s > 0
+
+
+@pytest.mark.parametrize("first_fault", ["crash", "window"])
+def test_a_window_opening_as_the_previous_fault_ends_counts_as_disrupted(
+    first_fault,
+) -> None:
+    """Edges at one instant apply in ``sort_schedule`` order.
+
+    Shard 0's degraded window opens at the instant its previous fault
+    ends: a crash's recovery, or an earlier window's end.  That end
+    applies first, so the window degrades the live shard and counts as
+    fault time: the disrupted p99 is the p99 over exactly the arrivals
+    inside the whole span.  Applied the other way round, the window would
+    hit a down shard, or be closed by the earlier window's end, and be lost.
+    """
+    plan = {
+        "num_shards": 2,
+        "replicas": 1,
+        "rate_rps": 2000.0,
+        "seed": 3,
+        "num_requests": 40,
+        "crashes": [],
+        "degrades": [],
+    }
+    first_at, first_s, window_s = 0.004, 0.004, 0.008
+    edge = first_at + first_s
+    if first_fault == "crash":
+        first = CrashSchedule([{"shard": 0, "at_s": first_at, "down_s": first_s}])
+    else:
+        first = DegradedStorage(
+            [{"shard": 0, "at_s": first_at, "duration_s": first_s, "factor": 0.1}]
+        )
+    window = DegradedStorage(
+        [{"shard": 0, "at_s": edge, "duration_s": window_s, "factor": 0.1}]
+    )
+    fleet = ShardedFleet(
+        [_server_factory(0), _server_factory(1)],
+        ConsistentHashRouter(range(2), seed=11),
+        server_factory=_server_factory,
+        injectors=[first, window],
+    )
+    report = fleet.run(_trace(plan))
+    _assert_conservation(plan, fleet, report)
+
+    arrivals = np.array([record.arrival_time for record in fleet.last_served])
+    latencies_ms = np.array([1e3 * record.latency for record in fleet.last_served])
+    inside = (first_at <= arrivals) & (arrivals <= edge + window_s)
+    assert inside.any() and not inside.all()
+    assert report.disrupted_p99_ms == float(np.percentile(latencies_ms[inside], 99))
+    assert report.steady_p99_ms == float(np.percentile(latencies_ms[~inside], 99))

@@ -6,9 +6,13 @@ of its shards, and collapsing it to one shard must reproduce the plain
 :class:`~repro.serving.server.InferenceServer` report byte for byte.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine, EngineConfig
 from repro.api.config import (
@@ -21,12 +25,14 @@ from repro.api.config import (
     ServingConfig,
     StoreConfig,
 )
+from repro.serving.cache import CacheStats
 from repro.serving.fleet import (
     ConsistentHashRouter,
     FleetReport,
     ShardedFleet,
     load_imbalance_factor,
 )
+from repro.serving.metrics import RequestRecords, build_report
 
 NUM_REQUESTS = 32
 
@@ -142,19 +148,147 @@ class TestSingleShardEquivalence:
         assert fleet_report.load_imbalance == 1.0
 
 
+#: One store and backbone for every hypothesis example (rendering and
+#: encoding the catalogue dominates runtime; serving never mutates them).
+_SHARED: dict = {}
+
+
+def _shared_engine(config: EngineConfig) -> Engine:
+    if not _SHARED:
+        engine = Engine(fleet_config())
+        _SHARED.update(store=engine.build_store(), backbone=engine.build_backbone())
+    return Engine(config, store=_SHARED["store"], backbone=_SHARED["backbone"])
+
+
+class TestStaticFleetSemantics:
+    """A fleet with nothing elastic is its shards served independently.
+
+    Pinned against freshly built servers and a hand fold, not against the
+    fleet's own loop: every shard report equals an identical new server's
+    ``run`` over that shard's partition, and the fleet row is
+    ``build_report`` over the shards' concatenated records.
+    """
+
+    @given(
+        num_shards=st.integers(min_value=1, max_value=4),
+        router_seed=st.integers(min_value=0, max_value=2**16),
+        rate_rps=st.floats(min_value=200.0, max_value=4000.0),
+        override_shard=st.integers(min_value=0, max_value=3),
+        override=st.sampled_from(
+            [
+                {"num_workers": 1},
+                {"num_workers": 3, "cache": {"capacity_bytes": 40_000}},
+                {"cache": None},
+            ]
+        ),
+    )
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_shards_serve_their_partition_independently(
+        self, num_shards, router_seed, rate_rps, override_shard, override
+    ):
+        config = fleet_config(
+            num_shards=num_shards,
+            overrides={override_shard % num_shards: override},
+            seed=router_seed,
+        )
+        arrivals = replace(
+            config.serving.arrivals,
+            options={**config.serving.arrivals.options, "rate_rps": rate_rps},
+        )
+        config = replace(config, serving=replace(config.serving, arrivals=arrivals))
+        engine = _shared_engine(config)
+        fleet = engine.build_fleet()
+        trace = engine.build_trace()
+        report = fleet.run(trace)
+        assert report.kind == "fleet"
+        assert fleet.last_events == []
+
+        fresh = _shared_engine(config)
+        records = RequestRecords()
+        store_requests = 0
+        cache_stats = []
+        for shard, sub_trace in fleet.partition(trace).items():
+            shard_report = report.shards[shard]
+            assert shard_report.shard_id == shard
+            if not len(sub_trace):
+                assert shard_report.report is None
+                continue
+            server = fresh.build_server(config.serving.for_shard(shard))
+            assert shard_report.report == server.run(sub_trace)
+            records.extend(server.last_records)
+            store_requests += server.store_requests
+            if server.cache is not None:
+                cache_stats.append(server.cache.stats)
+        live = [shard.report for shard in report.shards if shard.report is not None]
+        merged_stats = None
+        if cache_stats:
+            merged_stats = CacheStats(
+                **{
+                    stat.name: sum(getattr(stats, stat.name) for stats in cache_stats)
+                    for stat in fields(CacheStats)
+                }
+            )
+        assert report.fleet == build_report(
+            records,
+            bandwidth=fleet.servers[0].bandwidth,
+            store_requests=store_requests,
+            cache_stats=merged_stats,
+            degraded_requests=sum(r.degraded_requests for r in live),
+            dropped_requests=sum(r.dropped_requests for r in live),
+            prefetch_bytes=sum(r.prefetch_bytes for r in live),
+            prefetch_hits=sum(r.prefetch_hits for r in live),
+            prefetch_wasted_bytes=sum(r.prefetch_wasted_bytes for r in live),
+        )
+
+
+SHARDED_CONFIG = (
+    Path(__file__).resolve().parents[2] / "examples" / "configs" / "serving_sharded.json"
+)
+
+
+class TestNoOpBoundaries:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known boundary defect: every segment boundary restarts each shard's "
+            "server.run with an empty DynamicBatcher and all workers free, so a "
+            "no-op window still moves latencies; the ROADMAP item 'Make the "
+            "fleet exact' makes this pass"
+        ),
+    )
+    def test_a_no_op_degraded_window_changes_nothing(self):
+        """A factor-1.0 degraded window leaves every SLO as the static run's."""
+        data = json.loads(SHARDED_CONFIG.read_text())
+        static = Engine(EngineConfig.from_dict(data)).serve()
+        data["serving"]["fleet"]["faults"] = [
+            {
+                "name": "degraded-storage",
+                "options": {
+                    "windows": [
+                        {"shard": 0, "at_s": 0.02, "duration_s": 0.02, "factor": 1.0}
+                    ]
+                },
+            }
+        ]
+        windowed = Engine(EngineConfig.from_dict(data)).serve()
+        assert windowed.kind == "elastic-fleet"
+        assert windowed.shards == static.shards
+        assert windowed.fleet == static.fleet
+
+
 class TestFleetMechanics:
     def test_partition_preserves_order_and_covers_the_trace(self):
         engine = Engine(fleet_config())
         fleet = engine.build_fleet()
         trace = engine.build_trace()
-        sub_traces = fleet.partition(trace)
-        assert len(sub_traces) == fleet.num_shards
+        sub_traces = fleet.partition(trace)  # shard id -> sub-stream
+        assert list(sub_traces) == list(range(fleet.num_shards))
         merged = sorted(
-            (request for sub in sub_traces for request in sub),
+            (request for sub in sub_traces.values() for request in sub),
             key=lambda request: request.request_id,
         )
         assert merged == sorted(trace, key=lambda request: request.request_id)
-        for shard, sub in enumerate(sub_traces):
+        for shard, sub in sub_traces.items():
             # Arrival order survives the split and keys route to this shard.
             times = [request.arrival_time for request in sub]
             assert times == sorted(times)
