@@ -15,6 +15,8 @@ One entry point for every experiment and serving scenario in the repo:
 * :mod:`repro.api.reports` — the unified :class:`Report` schema every
   report type (SLO, fleet, experiment) serializes through
   (``Report.from_dict(r.to_dict()) == r``);
+* :mod:`repro.api.schema` — the one codec between plain JSON data and the
+  config and report dataclasses, read from their annotations;
 * :mod:`repro.api.cli` — ``python -m repro run|serve|sweep|list-components``.
 
 This ``__init__`` resolves its exports lazily (PEP 562): the component

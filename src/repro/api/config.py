@@ -6,9 +6,13 @@ The :class:`~repro.api.engine.Engine` turns a config into live objects.
 
 Every config class supports ``to_dict()`` / ``from_dict()`` and JSON
 round-trips: ``EngineConfig.from_dict(config.to_dict()) == config`` and
-``EngineConfig.from_json(config.to_json()) == config``.  Validation happens
-in ``__post_init__`` and raises :class:`ValueError` with a message naming
-the offending field, so a bad config file fails at load time, not mid-run.
+``EngineConfig.from_json(config.to_json()) == config``.  Both directions
+go through :mod:`repro.api.schema`, which reads each section field by
+field from its annotations: a wrong type, an unknown key or a missing
+required field raises :class:`ValueError` naming the dotted field
+(``serving.num_workers``), so a bad config file fails at load time, not
+mid-run.  The annotations are the schema; ``__post_init__`` holds only
+the range and cross-field checks the types cannot state.
 
 Component *names* (backbone, arrivals, cache, ...) are validated against
 the registries by the engine at build time, where the registries are
@@ -19,10 +23,13 @@ unknown resolutions.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, TypeVar
+
+from repro.api.schema import decode, encode
+
+_Config = TypeVar("_Config", bound="_DictMixin")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -30,56 +37,21 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _clean_dict(value: Any) -> Any:
-    """Recursively convert a config object into plain dicts/lists/scalars."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _clean_dict(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: _clean_dict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean_dict(item) for item in value]
-    return value
-
-
-def _is_int(value: Any) -> bool:
-    """Whether ``value`` can fill an integer field (``bool`` cannot)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _pop_section(data: dict, name: str, cls: type, default: Any = None) -> Any:
-    section = data.pop(name, None)
-    if section is None:
-        return default
-    if isinstance(section, cls):
-        return section
-    _require(
-        isinstance(section, dict),
-        f"{name} must be a mapping of section fields, got {type(section).__name__}",
-    )
-    return cls.from_dict(section)
-
-
-def _reject_unknown_keys(cls: type, data: dict) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} field(s): {', '.join(unknown)}; "
-            f"known fields: {', '.join(sorted(known))}"
-        )
-
-
 class _DictMixin:
-    """Shared ``to_dict``/``to_json`` plumbing for every config class."""
+    """Shared ``to_dict``/``from_dict``/JSON plumbing for every config class."""
 
     def to_dict(self) -> dict:
-        return _clean_dict(self)
+        return encode(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str):
+    def from_dict(cls: type[_Config], data: dict) -> _Config:
+        return decode(cls, data)
+
+    @classmethod
+    def from_json(cls: type[_Config], text: str) -> _Config:
         return cls.from_dict(json.loads(text))
 
 
@@ -119,12 +91,6 @@ class StoreConfig(_DictMixin):
             "store.quality must be in [1, 100]",
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StoreConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class BackboneConfig(_DictMixin):
@@ -135,12 +101,6 @@ class BackboneConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "backbone.name must be non-empty")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackboneConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -156,12 +116,6 @@ class AdaptiveConfig(_DictMixin):
             self.max_degradation_steps is None or self.max_degradation_steps >= 0,
             "adaptive.max_degradation_steps must be non-negative",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdaptiveConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -190,16 +144,6 @@ class PolicyConfig(_DictMixin):
         )
         _require(self.tie_tolerance >= 0, "policy.tie_tolerance must be non-negative")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolicyConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        data["scale_model"] = _pop_section(
-            data, "scale_model", BackboneConfig, BackboneConfig(name="mobilenet-tiny")
-        )
-        data["adaptive"] = _pop_section(data, "adaptive", AdaptiveConfig)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class DiurnalConfig(_DictMixin):
@@ -215,26 +159,15 @@ class DiurnalConfig(_DictMixin):
     period_s: float = 86_400.0
     amplitude: float = 0.5
     phase: float = 0.0
-    envelope: tuple = ()
+    envelope: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         _require(self.period_s > 0, "diurnal.period_s must be positive")
         _require(0.0 <= self.amplitude < 1.0, "diurnal.amplitude must be in [0, 1)")
         _require(
-            all(
-                isinstance(value, (int, float)) and value > 0
-                for value in self.envelope
-            ),
+            all(value > 0 for value in self.envelope),
             "diurnal.envelope multipliers must be positive numbers",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiurnalConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        if "envelope" in data:
-            data["envelope"] = tuple(data["envelope"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -252,7 +185,6 @@ class PopularityConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "popularity.name must be non-empty")
-        _require(isinstance(self.options, dict), "popularity.options must be a mapping")
         if self.name in ("zipf", "zipf-mandelbrot"):
             for option in ("alpha", "shift"):
                 value = self.options.get(option)
@@ -260,12 +192,6 @@ class PopularityConfig(_DictMixin):
                     value is None or (isinstance(value, (int, float)) and value >= 0),
                     f"popularity.options.{option} must be a non-negative number",
                 )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PopularityConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -335,14 +261,6 @@ class ArrivalsConfig(_DictMixin):
                 "clients pace themselves off completions",
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArrivalsConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        data["diurnal"] = _pop_section(data, "diurnal", DiurnalConfig)
-        data["popularity"] = _pop_section(data, "popularity", PopularityConfig)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class CacheConfig(_DictMixin):
@@ -354,12 +272,6 @@ class CacheConfig(_DictMixin):
     def __post_init__(self) -> None:
         _require(bool(self.name), "cache.name must be non-empty")
         _require(self.capacity_bytes > 0, "cache.capacity_bytes must be positive")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -379,9 +291,6 @@ class AdmissionConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "admission.name must be non-empty")
-        _require(
-            isinstance(self.options, dict), "admission.options must be a mapping"
-        )
         if self.name != "ewma":
             return
         for option in ("alpha", "latency_alpha"):
@@ -397,12 +306,6 @@ class AdmissionConfig(_DictMixin):
                 value is None or (isinstance(value, (int, float)) and value > 0),
                 f"admission.options.{option} must be a positive number",
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdmissionConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -420,7 +323,6 @@ class PrefetchConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "prefetch.name must be non-empty")
-        _require(isinstance(self.options, dict), "prefetch.options must be a mapping")
         if self.name != "next-scan":
             return
         threshold = self.options.get("idle_threshold_s")
@@ -434,12 +336,6 @@ class PrefetchConfig(_DictMixin):
             per_gap is None or (isinstance(per_gap, int) and per_gap > 0),
             "prefetch.options.max_keys_per_gap must be a positive integer",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrefetchConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -457,12 +353,6 @@ class BatchCostConfig(_DictMixin):
             self.kernel_source in ("library", "tuned"),
             "batch_cost.kernel_source must be 'library' or 'tuned'",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatchCostConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -497,12 +387,6 @@ class ObservabilityConfig(_DictMixin):
             "observability.sample_rate must be in (0, 1]",
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObservabilityConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class AutoscaleConfig(_DictMixin):
@@ -523,31 +407,13 @@ class AutoscaleConfig(_DictMixin):
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require(bool(self.name), "autoscale.name must be a non-empty string")
+        _require(self.interval_s > 0, "autoscale.interval_s must be a positive number")
+        _require(self.min_shards > 0, "autoscale.min_shards must be a positive integer")
         _require(
-            isinstance(self.name, str) and bool(self.name),
-            "autoscale.name must be a non-empty string",
-        )
-        _require(
-            isinstance(self.interval_s, (int, float))
-            and not isinstance(self.interval_s, bool)
-            and self.interval_s > 0,
-            "autoscale.interval_s must be a positive number",
-        )
-        _require(
-            _is_int(self.min_shards) and self.min_shards > 0,
-            "autoscale.min_shards must be a positive integer",
-        )
-        _require(
-            _is_int(self.max_shards) and self.max_shards >= self.min_shards,
+            self.max_shards >= self.min_shards,
             "autoscale.max_shards must be an integer >= autoscale.min_shards",
         )
-        _require(isinstance(self.options, dict), "autoscale.options must be a mapping")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AutoscaleConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -563,17 +429,7 @@ class FaultConfig(_DictMixin):
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.name, str) and bool(self.name),
-            "fault.name must be a non-empty string",
-        )
-        _require(isinstance(self.options, dict), "fault.options must be a mapping")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
+        _require(bool(self.name), "fault.name must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -602,7 +458,7 @@ class FleetConfig(_DictMixin):
     overrides: dict[int, dict] = field(default_factory=dict)
     replicas: int = 1
     autoscale: AutoscaleConfig | None = None
-    faults: tuple = ()
+    faults: tuple[FaultConfig, ...] = ()
 
     @property
     def is_elastic(self) -> bool:
@@ -615,34 +471,13 @@ class FleetConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         for name in ("num_shards", "virtual_nodes", "replicas"):
-            value = getattr(self, name)
-            _require(
-                _is_int(value) and value > 0, f"fleet.{name} must be a positive integer"
-            )
-        _require(_is_int(self.seed), "fleet.seed must be an integer")
-        _require(
-            isinstance(self.router, str) and bool(self.router),
-            "fleet.router must be a non-empty string",
-        )
-        _require(
-            isinstance(self.faults, (list, tuple))
-            and all(isinstance(fault, FaultConfig) for fault in self.faults),
-            "fleet.faults must be a list of fault sections",
-        )
-        _require(
-            isinstance(self.overrides, dict),
-            "fleet.overrides must be a mapping from shard index to ServingConfig "
-            "field patches",
-        )
+            _require(getattr(self, name) > 0, f"fleet.{name} must be a positive integer")
+        _require(bool(self.router), "fleet.router must be a non-empty string")
         for shard, patch in self.overrides.items():
             _require(
-                isinstance(shard, int) and 0 <= shard < self.num_shards,
+                0 <= shard < self.num_shards,
                 f"fleet.overrides key {shard!r} is not a shard index in "
                 f"[0, {self.num_shards})",
-            )
-            _require(
-                isinstance(patch, dict),
-                f"fleet.overrides[{shard}] must be a dict of ServingConfig fields",
             )
             _require(
                 "fleet" not in patch and "arrivals" not in patch
@@ -655,37 +490,6 @@ class FleetConfig(_DictMixin):
                 f"fleet.overrides[{shard}] cannot override observability "
                 "(telemetry attaches fleet-wide and merges shard-wise)",
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        overrides = data.pop("overrides", None)
-        if isinstance(overrides, dict):
-            # JSON object keys are strings; config keys are shard indices
-            # (a key that is no index stays as is for __post_init__ to name).
-            overrides = {
-                int(shard) if isinstance(shard, str) and shard.isdigit() else shard: patch
-                for shard, patch in overrides.items()
-            }
-        if overrides is not None:
-            data["overrides"] = overrides
-        data["autoscale"] = _pop_section(data, "autoscale", AutoscaleConfig)
-        faults = data.pop("faults", None)
-        if isinstance(faults, (list, tuple)):
-            for index, fault in enumerate(faults):
-                _require(
-                    isinstance(fault, (dict, FaultConfig)),
-                    f"fleet.faults[{index}] must be a fault section mapping, "
-                    f"got {type(fault).__name__}",
-                )
-            faults = tuple(
-                fault if isinstance(fault, FaultConfig) else FaultConfig.from_dict(fault)
-                for fault in faults
-            )
-        if faults is not None:
-            data["faults"] = faults
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -722,29 +526,21 @@ class ServingConfig(_DictMixin):
             self.scale_model_seconds >= 0,
             "serving.scale_model_seconds must be non-negative",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        data["arrivals"] = _pop_section(data, "arrivals", ArrivalsConfig, ArrivalsConfig())
-        data["cache"] = _pop_section(data, "cache", CacheConfig)
-        data["batch_cost"] = _pop_section(
-            data, "batch_cost", BatchCostConfig, BatchCostConfig()
-        )
-        data["admission"] = _pop_section(data, "admission", AdmissionConfig)
-        data["prefetch"] = _pop_section(data, "prefetch", PrefetchConfig)
-        data["fleet"] = _pop_section(data, "fleet", FleetConfig)
-        data["observability"] = _pop_section(
-            data, "observability", ObservabilityConfig
-        )
-        return cls(**data)
+        if self.fleet is None:
+            return
+        for shard in self.fleet.overrides:
+            try:
+                self.for_shard(shard)
+            except ValueError as error:
+                raise ValueError(f"serving.fleet.overrides.{shard}: {error}") from error
 
     def for_shard(self, shard: int) -> "ServingConfig":
         """This section specialized to one shard: fleet stripped, patch applied.
 
-        The result is re-validated through :meth:`from_dict`, so a bad
-        per-shard override fails with the same error a bad config file would.
+        The result is decoded like a config file's ``serving`` section, and
+        ``__post_init__`` specializes every overridden shard once, so a bad
+        per-shard override fails at load with the error a bad config file
+        would raise, prefixed by the shard's ``serving.fleet.overrides`` path.
         """
         if self.fleet is None:
             raise ValueError("serving config has no fleet section to shard")
@@ -755,7 +551,7 @@ class ServingConfig(_DictMixin):
                 data[key] = {**data[key], **value}
             else:
                 data[key] = value
-        return ServingConfig.from_dict(data)
+        return decode(ServingConfig, data, "serving")
 
 
 @dataclass(frozen=True)
@@ -777,12 +573,6 @@ class ObjectiveConfig(_DictMixin):
             self.direction in ("min", "max"),
             f"objective.direction must be 'min' or 'max', got {self.direction!r}",
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObjectiveConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -809,40 +599,23 @@ class SweepConfig(_DictMixin):
     objectives: tuple[ObjectiveConfig, ...] = ()
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.grid, dict), "sweep.grid must be a mapping")
         for path, values in self.grid.items():
             _require(
-                isinstance(values, (list, tuple)) and len(values) > 0,
+                len(values) > 0,
                 f"sweep.grid[{path!r}] must be a non-empty list of values",
             )
         _require(self.workers >= 1, "sweep.workers must be >= 1")
-        _require(
-            all(isinstance(o, ObjectiveConfig) for o in self.objectives),
-            "sweep.objectives must be objective sections",
-        )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        data = dict(data)
-        known = {f.name for f in fields(cls)}
-        if data and not (set(data) & known):
-            # Legacy bare-grid form: every key is a dotted override path
-            # (dots make collision with section field names impossible).
-            return cls(grid={path: list(values) for path, values in data.items()})
-        _reject_unknown_keys(cls, data)
-        if "grid" in data:
-            data["grid"] = {
-                path: list(values) for path, values in data["grid"].items()
-            }
-        objectives = data.pop("objectives", None)
-        if objectives is not None:
-            data["objectives"] = tuple(
-                entry
-                if isinstance(entry, ObjectiveConfig)
-                else ObjectiveConfig.from_dict(entry)
-                for entry in objectives
-            )
-        return cls(**data)
+    def _prepare(cls, data: Any) -> Any:
+        """Read the legacy bare-grid form as ``{"grid": data}``.
+
+        Every key of a bare grid is a dotted override path; the dots make a
+        collision with the section's field names impossible.
+        """
+        if isinstance(data, dict) and data and not set(data) & {f.name for f in fields(cls)}:
+            return {"grid": data}
+        return data
 
 
 @dataclass(frozen=True)
@@ -854,12 +627,6 @@ class ExperimentConfig(_DictMixin):
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "experiment.name must be non-empty")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -934,30 +701,14 @@ class EngineConfig(_DictMixin):
             "sweep must be a SweepConfig section (or a bare grid mapping)",
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineConfig":
-        data = dict(data)
-        _reject_unknown_keys(cls, data)
-        if "resolutions" in data:
-            data["resolutions"] = tuple(data["resolutions"])
-        data["store"] = _pop_section(data, "store", StoreConfig, StoreConfig())
-        data["backbone"] = _pop_section(data, "backbone", BackboneConfig, BackboneConfig())
-        data["policy"] = _pop_section(data, "policy", PolicyConfig, PolicyConfig())
-        data["serving"] = _pop_section(data, "serving", ServingConfig)
-        data["experiment"] = _pop_section(data, "experiment", ExperimentConfig)
-        thresholds = data.pop("ssim_thresholds", None)
-        if thresholds is not None:
-            # JSON object keys are strings; config keys are resolutions.
-            data["ssim_thresholds"] = {
-                int(resolution): float(threshold)
-                for resolution, threshold in thresholds.items()
-            }
-        data["sweep"] = _pop_section(data, "sweep", SweepConfig, SweepConfig())
-        return cls(**data)
-
     def with_overrides(self, overrides: dict[str, Any]) -> "EngineConfig":
-        """A new config with dotted-path overrides applied (used by sweeps)."""
-        data = self.to_dict()
+        """A new config with dotted-path overrides applied (used by sweeps).
+
+        Paths walk the config's JSON form, where every key is a string, so
+        int-keyed maps are addressable too (``ssim_thresholds.24``,
+        ``serving.fleet.overrides.0.num_workers``).
+        """
+        data = json.loads(self.to_json(indent=None))
         for path, value in overrides.items():
             cursor = data
             parts = path.split(".")

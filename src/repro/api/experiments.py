@@ -30,6 +30,7 @@ from repro.analysis.experiments import (
 from repro.analysis.report import format_table
 from repro.api.registry import EXPERIMENTS, MACHINES
 from repro.api.reports import Report, report_type
+from repro.api.schema import decode
 from repro.surrogate.anchors import RESOLUTIONS
 
 if TYPE_CHECKING:  # the engine imports this module; avoid the cycle at runtime
@@ -65,9 +66,7 @@ class ExperimentResult(Report):
 
     @classmethod
     def _decode(cls, data: dict) -> "ExperimentResult":
-        data = dict(data)
-        data["data"] = _restore_int_keys(data.get("data", {}))
-        return cls(**data)
+        return decode(cls, {**data, "data": _restore_int_keys(data.get("data", {}))})
 
     def format(self) -> str:
         return f"===== {self.name} =====\n{self.table}"

@@ -11,17 +11,21 @@ dispatches the tag back to the right class — so
 ``Report.from_dict(report.to_dict()) == report`` round-trips for every
 report type, nested ones included.
 
-Like :mod:`repro.api.registry`, this module imports nothing from the rest
-of ``repro``: report classes import it to register themselves at definition
-time, keeping the dependency direction implementation → schema.
+Reports encode and decode through :mod:`repro.api.schema`, the same codec
+as configs: a report's field annotations are its schema, nested reports
+decode by their field's annotation, and every report carries its ``kind``
+tag.  Like :mod:`repro.api.registry`, this module imports nothing from the
+rest of ``repro`` but that codec: report classes import it to register
+themselves at definition time, keeping the dependency direction
+implementation → schema.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import fields
-from typing import Any, Callable, ClassVar
+from typing import Callable, ClassVar
+
+from repro.api.schema import Tagged, decode, encode
 
 #: Registered report classes by their stable ``kind`` tag.
 REPORT_TYPES: dict[str, type["Report"]] = {}
@@ -40,33 +44,20 @@ def report_type(kind: str) -> Callable[[type], type]:
     return _register
 
 
-def _encode(value: Any) -> Any:
-    """Recursively convert report fields into plain dicts/lists/scalars."""
-    if isinstance(value, Report):
-        return value.to_dict()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    return value
-
-
-class Report:
+class Report(Tagged):
     """Base class: a frozen-dataclass report with a tagged dict schema.
 
-    Subclasses are dataclasses decorated with :func:`report_type`; they
-    override :meth:`_decode` when a field needs more than ``cls(**data)``
-    (nested reports, int-keyed histograms JSON turned into strings, ...).
+    Subclasses are dataclasses decorated with :func:`report_type`.  Their
+    annotations drive both directions (nested reports, int-keyed
+    histograms); a subclass overrides :meth:`_decode` only when a field is
+    free-form data the annotations cannot describe.
     """
 
     kind: ClassVar[str] = "report"
 
     def to_dict(self) -> dict:
         """Plain-JSON dict of this report, tagged with its ``kind``."""
-        encoded = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
-        return {"kind": self.kind, **encoded}
+        return encode(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -74,8 +65,7 @@ class Report:
     @staticmethod
     def from_dict(data: dict) -> "Report":
         """Rebuild any registered report from its tagged dict."""
-        data = dict(data)
-        kind = data.pop("kind", None)
+        kind = data.get("kind")
         if kind not in REPORT_TYPES:
             known = ", ".join(sorted(REPORT_TYPES)) or "<none>"
             raise KeyError(f"unknown report kind {kind!r}; known kinds: {known}")
@@ -87,4 +77,4 @@ class Report:
 
     @classmethod
     def _decode(cls, data: dict) -> "Report":
-        return cls(**data)
+        return decode(cls, data)

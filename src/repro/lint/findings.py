@@ -109,15 +109,6 @@ class LintReport(Report):
         )
         return "\n".join(lines)
 
-    @classmethod
-    def _decode(cls, data: dict) -> "LintReport":
-        data = dict(data)
-        data["rules"] = tuple(data.get("rules", ()))
-        data["findings"] = tuple(
-            Finding(**finding) for finding in data.get("findings", ())
-        )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class BaselineEntry:

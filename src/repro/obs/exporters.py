@@ -34,7 +34,7 @@ from repro.api.reports import Report, report_type
 
 from repro.obs.metrics import MetricsCollector, WindowStats
 from repro.obs.profiling import Profiler, ProfileStats
-from repro.obs.tracing import RequestTracer, StageBreakdown, StageStats
+from repro.obs.tracing import RequestTracer, StageBreakdown
 
 #: File names written by :meth:`TelemetryPipeline.write` under the out dir.
 METRICS_FILE = "metrics.jsonl"
@@ -73,22 +73,6 @@ class TelemetryReport(Report):
         if not self.windows:
             return 0.0
         return self.windows[-1].end_s - self.windows[0].start_s
-
-    @classmethod
-    def _decode(cls, data: dict) -> "TelemetryReport":
-        data = dict(data)
-        data["windows"] = tuple(
-            WindowStats(**window) for window in data.get("windows", [])
-        )
-        if data.get("stages") is not None:
-            stages = dict(data["stages"])
-            stages["stages"] = tuple(
-                StageStats(**stage) for stage in stages.get("stages", [])
-            )
-            data["stages"] = StageBreakdown(**stages)
-        if data.get("profile") is not None:
-            data["profile"] = ProfileStats(**data["profile"])
-        return cls(**data)
 
     def format(self) -> str:
         """Deterministic plain-text rendering (except wall-clock figures)."""

@@ -302,13 +302,6 @@ class ShardReport(Report):
     num_requests: int
     report: SLOReport | None
 
-    @classmethod
-    def _decode(cls, data: dict) -> "ShardReport":
-        data = dict(data)
-        if data.get("report") is not None:
-            data["report"] = Report.from_dict(data["report"])
-        return cls(**data)
-
 
 @report_type("fleet")
 @dataclass(frozen=True)
@@ -327,15 +320,6 @@ class FleetReport(Report):
     fleet: SLOReport
     load_imbalance: float
     idle_shards: int
-
-    @classmethod
-    def _decode(cls, data: dict) -> "FleetReport":
-        data = dict(data)
-        data["shards"] = tuple(
-            Report.from_dict(shard) for shard in data.get("shards", [])
-        )
-        data["fleet"] = Report.from_dict(data["fleet"])
-        return cls(**data)
 
     # Convenience delegates so sweeps and tables can treat a FleetReport
     # like a single-server SLOReport.

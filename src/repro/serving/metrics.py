@@ -252,7 +252,7 @@ class SLOReport(Report):
     transfer_dollars: float
     cache_hit_rate: float | None
     degraded_requests: int
-    resolution_histogram: dict = field(default_factory=dict)
+    resolution_histogram: dict[int, int] = field(default_factory=dict)
     dropped_requests: int = 0
     prefetch_bytes: int = 0
     prefetch_hits: int = 0
@@ -269,16 +269,6 @@ class SLOReport(Report):
         if self.offered_requests == 0:
             return 0.0
         return self.dropped_requests / self.offered_requests
-
-    @classmethod
-    def _decode(cls, data: dict) -> "SLOReport":
-        data = dict(data)
-        # JSON object keys are strings; histogram keys are resolutions.
-        data["resolution_histogram"] = {
-            int(resolution): count
-            for resolution, count in data.get("resolution_histogram", {}).items()
-        }
-        return cls(**data)
 
     def format(self) -> str:
         """Deterministic plain-text rendering of the report."""

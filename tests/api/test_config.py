@@ -304,7 +304,28 @@ class TestFleetSectionValidation:
             ("overrides", {"first": {"num_workers": 1}}, "fleet.overrides key"),
             ("autoscale", {"name": "threshold", "min_shards": 1.5}, "autoscale.min_shards"),
             ("autoscale", {"name": "threshold", "interval_s": "1"}, "autoscale.interval_s"),
-            ("faults", [{"name": 3}], "fault.name"),
+            ("faults", [{"name": 3}], r"fleet\.faults\[0\]\.name"),
+            # A shard's patch is checked at load, and the error names the shard.
+            (
+                "overrides",
+                {"1": {"num_workers": -1}},
+                r"serving\.fleet\.overrides\.1: serving\.num_workers must be positive",
+            ),
+            (
+                "overrides",
+                {"1": {"cache": {"capacity_bytez": 1}}},
+                r"serving\.fleet\.overrides\.1: .*serving\.cache\.capacity_bytez",
+            ),
+            (
+                "overrides",
+                {"1": {"num_workerz": 2}},
+                r"serving\.fleet\.overrides\.1: .*serving\.num_workerz",
+            ),
+            (
+                "overrides",
+                {"1": {"max_batch_size": "x"}},
+                r"serving\.fleet\.overrides\.1: serving\.max_batch_size must be an integer",
+            ),
         ],
     )
     def test_malformed_input_raises_a_value_error_naming_the_field(
@@ -340,6 +361,16 @@ class TestOverrides:
             config.with_overrides({"serving.cache.capacity_bytez": 1})
         with pytest.raises(KeyError):
             config.with_overrides({"nonexistent.section": 1})
+
+    def test_with_overrides_addresses_int_keyed_maps(self):
+        patched = full_config().with_overrides({"ssim_thresholds.24": 0.5})
+        assert patched.ssim_thresholds == {24: 0.5, 32: 0.92, 48: 0.95}
+        sharded = EngineConfig.from_dict(json.loads(SHARDED_CONFIG.read_text()))
+        patched = sharded.with_overrides({"serving.fleet.overrides.0.num_workers": 5})
+        assert patched.serving.fleet.overrides == {
+            0: {"num_workers": 5, "cache": {"capacity_bytes": 400000}}
+        }
+        assert patched.serving.for_shard(0).num_workers == 5
 
     def test_with_overrides_revalidates(self):
         config = full_config()

@@ -1,0 +1,178 @@
+"""Malformed config input fails at load with an error naming the field.
+
+A config file is outside input: a wrong type anywhere in it must raise a
+``ValueError`` from ``EngineConfig.from_dict`` whose message contains the
+offending value's dotted path, and ``repro serve`` must turn that into one
+``error:`` line and exit status 2 instead of a traceback.  The property
+walks every example config by the config classes' annotations, swaps one
+typed value for a value of the wrong JSON type, and checks the message.
+The contents of free-form mappings (``options``, ``store.overrides``,
+sweep-grid value lists, per-shard patches) are not typed, so they are not
+swapped.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import json
+import types
+import typing
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api.cli import main
+from repro.api.config import EngineConfig
+
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "examples" / "configs"
+CONFIGS = {
+    path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))
+}
+
+#: One of each JSON type a field can wrongly hold.
+WRONG_VALUES = ("oops", 2.5, True, [1, 2], None)
+
+
+def _optional(annotation: typing.Any) -> tuple[typing.Any, bool]:
+    """``(X, True)`` for ``X | None``, ``(annotation, False)`` otherwise."""
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType) and type(None) in args:
+        return next(arg for arg in args if arg is not type(None)), True
+    return annotation, False
+
+
+def _accepts(annotation: typing.Any, value: typing.Any) -> bool:
+    """Whether a field annotated ``annotation`` may hold the JSON ``value``."""
+    base, optional = _optional(annotation)
+    if value is None:
+        return optional
+    origin = typing.get_origin(base) or base
+    if dataclasses.is_dataclass(base) or origin is dict:
+        return isinstance(value, dict)
+    if origin in (tuple, list):
+        return isinstance(value, list)
+    if base is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if base is int:
+        return isinstance(value, int)
+    if base is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, base)
+
+
+def _typed_values(annotation, value, keys, path):
+    """``(keys, dotted path, annotation)`` of ``value`` and every typed value in it."""
+    if path:
+        yield keys, path, annotation
+    base, _ = _optional(annotation)
+    args = typing.get_args(base)
+    if dataclasses.is_dataclass(base) and isinstance(value, dict):
+        hints = typing.get_type_hints(base)
+        for field in dataclasses.fields(base):
+            if field.name in value:
+                dotted = f"{path}.{field.name}" if path else field.name
+                yield from _typed_values(
+                    hints[field.name], value[field.name], keys + (field.name,), dotted
+                )
+    elif typing.get_origin(base) is tuple and isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _typed_values(args[0], item, keys + (index,), f"{path}[{index}]")
+    elif typing.get_origin(base) is dict and isinstance(value, dict):
+        for key, item in value.items():
+            yield from _typed_values(args[1], item, keys + (key,), f"{path}.{key}")
+
+
+CASES = [
+    (name, keys, path, annotation)
+    for name, data in CONFIGS.items()
+    for keys, path, annotation in _typed_values(EngineConfig, data, (), "")
+]
+
+
+def test_the_walk_reaches_nested_sections_lists_and_int_keyed_maps():
+    paths = {path for _, _, path, _ in CASES}
+    for path in (
+        "serving.arrivals.options",
+        "serving.fleet.faults[0].name",
+        "serving.fleet.overrides.0",
+        "ssim_thresholds.24",
+        "resolutions[2]",
+        "sweep.grid.serving.fleet.num_shards",
+        "sweep.objectives[0].column",
+    ):
+        assert path in paths
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(CASES), draw=st.data())
+def test_a_wrong_typed_value_fails_at_load_naming_its_path(case, draw):
+    name, keys, path, annotation = case
+    value = draw.draw(
+        st.sampled_from([wrong for wrong in WRONG_VALUES if not _accepts(annotation, wrong)])
+    )
+    data = copy.deepcopy(CONFIGS[name])
+    cursor = data
+    for key in keys[:-1]:
+        cursor = cursor[key]
+    cursor[keys[-1]] = value
+    with pytest.raises(ValueError) as error:
+        EngineConfig.from_dict(data)
+    assert path in str(error.value)
+
+
+#: Inputs that crashed with a TypeError, failed naming no field, or were
+#: silently accepted before configs were read through the annotations:
+#: (dotted path to set in serving_bursty.json, value, path the error names).
+PROBES = [
+    ("serving.num_workers", "two", "serving.num_workers"),
+    ("serving.num_requests", None, "serving.num_requests"),
+    ("serving.max_wait_s", "0.01", "serving.max_wait_s"),
+    ("resolutions", ["24", 32], "resolutions[0]"),
+    ("crop_ratio", "0.5", "crop_ratio"),
+    ("policy.tie_tolerance", [0.1], "policy.tie_tolerance"),
+    ("serving.arrivals.speedup", None, "serving.arrivals.speedup"),
+    ("ssim_thresholds", {"x": 0.9}, "ssim_thresholds"),
+    ("serving.max_batch_size", 2.5, "serving.max_batch_size"),
+    ("store.num_images", 4.0, "store.num_images"),
+    ("store.quality", True, "store.quality"),
+    ("serving.observability.metrics", 1, "serving.observability.metrics"),
+    (
+        "sweep",
+        {"grid": {"serving.num_workers": "abc"}},
+        "sweep.grid.serving.num_workers",
+    ),
+    ("serving.cache", [1, 2], "serving.cache"),
+]
+
+
+def _bursty_with(path: str, value) -> dict:
+    data = copy.deepcopy(CONFIGS["serving_bursty"])
+    *sections, leaf = path.split(".")
+    cursor = data
+    for section in sections:
+        cursor = cursor.setdefault(section, {})
+    cursor[leaf] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
+def test_probed_input_fails_at_load_naming_the_field(path, value, names):
+    with pytest.raises(ValueError) as error:
+        EngineConfig.from_dict(_bursty_with(path, value))
+    assert names in str(error.value)
+
+
+@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
+def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(_bursty_with(path, value)))
+    assert main(["serve", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]

@@ -6,7 +6,9 @@ import pytest
 
 from repro.api import Engine, ExperimentResult  # noqa: F401  (registers report types)
 from repro.api.reports import REPORT_TYPES, Report, report_type
+from repro.api.schema import decode, encode
 from repro.serving.cache import CacheStats
+from repro.serving.faults import FaultEvent
 from repro.serving.fleet import FleetReport, ShardReport
 from repro.serving.metrics import ServedRequest, SLOReport, build_report
 from repro.storage.bandwidth import StorageBandwidthModel
@@ -122,6 +124,32 @@ class TestNestedRoundTrip:
     def test_fleet_report_json_round_trip(self):
         report = self.fleet_report()
         assert Report.from_json(report.to_json()) == report
+
+    def test_a_nested_report_decodes_by_its_field_annotation(self):
+        data = self.fleet_report().to_dict()
+        del data["fleet"]["kind"]
+        assert Report.from_dict(data) == self.fleet_report()
+        data["shards"][0]["kind"] = "slo"
+        with pytest.raises(ValueError, match=r"shards\[0\] must be a 'shard' report"):
+            Report.from_dict(data)
+
+    def test_malformed_fields_fail_naming_their_path(self):
+        data = self.fleet_report().to_dict()
+        data["shards"][0]["report"]["num_requests"] = 2.5
+        with pytest.raises(
+            ValueError, match=r"shards\[0\]\.report\.num_requests must be an integer"
+        ):
+            Report.from_dict(data)
+        data = self.fleet_report().to_dict()
+        del data["num_shards"]
+        with pytest.raises(ValueError, match="missing required FleetReport field.*num_shards"):
+            Report.from_dict(data)
+
+    def test_only_reports_carry_a_kind_tag(self):
+        # FaultEvent's own ``kind`` field is data, not a report tag.
+        event = FaultEvent(time=0.5, kind="crash", shard_id=1)
+        assert encode(event) == {"time": 0.5, "kind": "crash", "shard_id": 1, "factor": 1.0}
+        assert decode(FaultEvent, encode(event)) == event
 
     def test_live_fleet_report_round_trips(self):
         from repro.api.config import FleetConfig

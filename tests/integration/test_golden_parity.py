@@ -60,14 +60,17 @@ class _Recorder(ServerObserver):
         self.events.append(event)
 
 
-def _render(name: str, observer: ServerObserver | None = None) -> str:
+def _engine(name: str) -> Engine:
+    data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    return Engine(EngineConfig.from_dict(data))
+
+
+def _render(name: str, engine: Engine, observer: ServerObserver | None = None) -> str:
     """One config's canonical report text (``to_json`` plus newline).
 
     ``observer``, when given, is subscribed to every server the engine
     builds (single server, fleet shards, elastic scale-outs and recoveries).
     """
-    data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    engine = Engine(EngineConfig.from_dict(data))
     if observer is not None:
         build_server = engine.build_server
 
@@ -122,7 +125,7 @@ def _assert_matches_golden(name: str, text: str, label: str) -> None:
 @pytest.mark.parametrize("name", ALL_CONFIGS)
 def test_report_matches_golden(name: str, update_golden: bool) -> None:
     """A bare run (events elided) reproduces the pinned report exactly."""
-    text = _render(name)
+    text = _render(name, _engine(name))
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         (GOLDEN_DIR / f"{name}.json").write_text(text)
@@ -137,13 +140,25 @@ def test_observed_run_matches_golden(name: str, update_golden: bool) -> None:
     Event elision is the one branch left in the event loop; together with
     ``test_report_matches_golden`` this pins both sides of it to the
     committed artifact, so a regression in either cannot hide behind the
-    other.
+    other.  Every completion the run emits must also conserve its bytes:
+    what came from the store plus what came from the cache is exactly the
+    scan prefix it read, which is at most the whole object.
     """
     if update_golden:
         pytest.skip("goldens are pinned from the bare run")
     recorder = _Recorder()
-    _assert_matches_golden(name, _render(name, observer=recorder), "observed run")
-    assert any(isinstance(event, RequestCompleted) for event in recorder.events)
+    engine = _engine(name)
+    _assert_matches_golden(name, _render(name, engine, observer=recorder), "observed run")
+    records = [
+        event.record for event in recorder.events if isinstance(event, RequestCompleted)
+    ]
+    assert records
+    store = engine.build_store()
+    for record in records:
+        encoded = store.metadata(record.key).encoded
+        prefix = encoded.cumulative_bytes(record.scans_read)
+        assert record.bytes_from_store + record.bytes_from_cache == prefix, record
+        assert prefix <= record.total_bytes == encoded.total_bytes, record
 
 
 def test_every_golden_has_a_config() -> None:
