@@ -116,7 +116,7 @@ def _print_serve_report(engine: Engine, report, config_path: str) -> None:
         print(f"prefetch               {serving.prefetch.name}")
     fleet = serving.fleet if serving else None
     if fleet is not None:
-        router = "replica" if fleet.replicas > 1 else fleet.router
+        router = "replica" if fleet.replicas > 1 else "consistent-hash"
         print(f"router                 {router} ({fleet.virtual_nodes} vnodes)")
         if fleet.autoscale is not None and fleet.autoscale.name != "none":
             print(

@@ -397,7 +397,9 @@ class AutoscaleConfig(_DictMixin):
     report is byte-identical to one without the section); ``options`` are
     its keyword arguments.  The fleet
     evaluates the policy every ``interval_s`` of simulated time and clamps
-    its shard delta to ``[min_shards, max_shards]``.
+    its shard delta toward ``min_shards`` (scale-in) or ``max_shards``
+    (scale-out).  With a policy other than ``none``, the fleet's
+    ``num_shards`` must lie within those bounds.
     """
 
     name: str = "none"
@@ -436,12 +438,12 @@ class FaultConfig(_DictMixin):
 class FleetConfig(_DictMixin):
     """Multi-node sharding of the serving tier.
 
-    ``num_shards`` servers share the request key space through the named
-    router (a seeded ``virtual_nodes``-per-shard consistent-hash ring).
-    ``overrides`` patches the serving section per shard — a mapping from
-    shard index to ``ServingConfig`` field patches (nested dicts such as
-    ``cache`` merge field-wise), which is how a fleet mixes, say, one
-    big-cache shard with several small ones.
+    ``num_shards`` servers share the request key space through a seeded
+    consistent-hash ring with ``virtual_nodes`` points per shard; each key
+    is held by ``replicas`` shards.  ``overrides`` patches the serving
+    section per shard — a mapping from shard index to ``ServingConfig``
+    field patches (nested dicts such as ``cache`` merge field-wise), which
+    is how a fleet mixes, say, one big-cache shard with several small ones.
 
     The elastic extensions are ``replicas`` > 1 (per-request replica-group
     routing), a non-``none`` ``autoscale`` section and a non-empty
@@ -452,7 +454,6 @@ class FleetConfig(_DictMixin):
     """
 
     num_shards: int = 2
-    router: str = "consistent-hash"
     virtual_nodes: int = 64
     seed: int = 0
     overrides: dict[int, dict] = field(default_factory=dict)
@@ -472,7 +473,18 @@ class FleetConfig(_DictMixin):
     def __post_init__(self) -> None:
         for name in ("num_shards", "virtual_nodes", "replicas"):
             _require(getattr(self, name) > 0, f"fleet.{name} must be a positive integer")
-        _require(bool(self.router), "fleet.router must be a non-empty string")
+        scaling = self.autoscale
+        if scaling is not None and scaling.name != "none":
+            _require(
+                self.num_shards >= scaling.min_shards,
+                f"serving.fleet.num_shards ({self.num_shards}) is below "
+                f"serving.fleet.autoscale.min_shards ({scaling.min_shards})",
+            )
+            _require(
+                self.num_shards <= scaling.max_shards,
+                f"serving.fleet.num_shards ({self.num_shards}) is above "
+                f"serving.fleet.autoscale.max_shards ({scaling.max_shards})",
+            )
         for shard, patch in self.overrides.items():
             _require(
                 0 <= shard < self.num_shards,

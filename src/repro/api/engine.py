@@ -43,7 +43,6 @@ from repro.api.registry import (
     PREFETCH_POLICIES,
     PROFILES,
     RESOLUTION_POLICIES,
-    ROUTERS,
 )
 from repro.codec.progressive import ProgressiveEncoder
 from repro.core.policies import ResolutionPolicy
@@ -55,7 +54,7 @@ from repro.serving.arrivals import ClosedLoopClients, Request
 from repro.serving.batcher import BatchCostModel
 from repro.serving.cache import ScanCache
 from repro.serving.control import AdmissionPolicy, PrefetchPolicy
-from repro.serving.fleet import FleetReport, ReplicaRouter, ShardedFleet
+from repro.serving.fleet import ConsistentHashRouter, FleetReport, ShardedFleet
 from repro.serving.metrics import SLOReport
 from repro.serving.popularity import PopularityModel
 from repro.serving.server import InferenceServer, ServerConfig
@@ -240,9 +239,10 @@ class Engine:
         store, backbone and read-policy calibration are shared — they are
         immutable under serving), so shards are fully independent nodes.
         Scale-outs and post-crash recoveries build fresh cold-cache nodes
-        the same way; ``replicas > 1`` swaps the plain ring for a
-        :class:`~repro.serving.fleet.ReplicaRouter`; the autoscale policy
-        and fault injectors come from their registries.
+        the same way.  The router is one seeded
+        :class:`~repro.serving.fleet.ConsistentHashRouter` holding
+        ``replicas`` shards per key; the autoscale policy and fault
+        injectors come from their registries.
         """
         return self._build_fleet()
 
@@ -270,20 +270,6 @@ class Engine:
         def server_factory(shard: int) -> InferenceServer:
             return self.build_server(serving.for_shard(shard))
 
-        if fleet.replicas > 1:
-            router = ReplicaRouter(
-                range(fleet.num_shards),
-                replicas=fleet.replicas,
-                virtual_nodes=fleet.virtual_nodes,
-                seed=fleet.seed,
-            )
-        else:
-            router = ROUTERS.build(
-                fleet.router,
-                shard_ids=range(fleet.num_shards),
-                virtual_nodes=fleet.virtual_nodes,
-                seed=fleet.seed,
-            )
         autoscale = None
         scaling = {}
         if fleet.autoscale is not None and fleet.autoscale.name != "none":
@@ -297,11 +283,15 @@ class Engine:
             )
         return ShardedFleet(
             [server_factory(shard) for shard in range(fleet.num_shards)],
-            router,
+            ConsistentHashRouter(
+                range(fleet.num_shards),
+                virtual_nodes=fleet.virtual_nodes,
+                seed=fleet.seed,
+                replicas=fleet.replicas,
+            ),
             server_factory=server_factory,
             autoscale=autoscale,
             injectors=[FAULTS.build(fault.name, **fault.options) for fault in fleet.faults],
-            replicas=fleet.replicas,
             **scaling,
         )
 

@@ -112,9 +112,6 @@ BATCHERS = Registry("batcher")
 #: Batch execution cost models (``repro.serving.batcher``).
 BATCH_COSTS = Registry("batch cost model")
 
-#: Request routers for sharded fleets (``repro.serving.fleet``).
-ROUTERS = Registry("router")
-
 #: Admission policies of the serving control plane (``repro.serving.control``).
 ADMISSION_POLICIES = Registry("admission policy")
 
@@ -155,7 +152,6 @@ def all_registries() -> dict[str, Registry]:
         "caches": CACHES,
         "batchers": BATCHERS,
         "batch-costs": BATCH_COSTS,
-        "routers": ROUTERS,
         "admission-policies": ADMISSION_POLICIES,
         "prefetch-policies": PREFETCH_POLICIES,
         "autoscale-policies": AUTOSCALE_POLICIES,

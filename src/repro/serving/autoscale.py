@@ -5,10 +5,10 @@ stepping through :mod:`repro.serving.elastic`) evaluates its policy at
 fixed sim-time epochs.  At each epoch it folds the interval's
 traffic into one :class:`LoadSignal` — offered/completed/dropped counts,
 the in-flight backlog, the live shard count — and asks the policy for a
-shard delta.  The fleet clamps the answer to the configured
-``[min_shards, max_shards]`` band and applies it through the consistent-
-hash ring, so a policy only ever reasons about load, never about ring
-membership mechanics.
+shard delta.  The fleet clamps the answer toward the configured bound on
+its own side (``max_shards`` for a scale-out, ``min_shards`` for a
+scale-in) and applies it through the consistent-hash ring, so a policy
+only ever reasons about load, never about ring membership mechanics.
 
 Policies live in the :data:`~repro.api.registry.AUTOSCALE_POLICIES`
 registry beside admission and prefetch; scenarios pick one by name in the
@@ -57,10 +57,10 @@ class AutoscalePolicy:
     """Interface: propose a shard delta for one epoch's load signal.
 
     :meth:`decide` returns the desired change in shard count (positive =
-    scale out, negative = scale in, 0 = hold); the fleet clamps it to the
-    configured band.  :meth:`reset` restores any smoothing state — the
-    fleet calls it once per run, which is what keeps same-seed reruns
-    byte-identical.
+    scale out, negative = scale in, 0 = hold); the fleet clamps it toward
+    the configured bound on its side and never moves against its sign.
+    :meth:`reset` restores any smoothing state — the fleet calls it once
+    per run, which is what keeps same-seed reruns byte-identical.
     """
 
     def decide(self, signal: LoadSignal) -> int:

@@ -310,7 +310,13 @@ class Topology:
     def autoscale_epoch(
         self, time: float, policy: AutoscalePolicy, min_shards: int, max_shards: int
     ) -> None:
-        """Fold the epoch's load into a :class:`LoadSignal` and apply the delta."""
+        """Fold the epoch's load into a :class:`LoadSignal` and apply the delta.
+
+        The delta is clamped only toward the bound on its own side: a crash
+        can leave the live count below ``min_shards`` and a recovery can
+        lift it above ``max_shards``, and from there a two-sided clamp
+        would move the fleet against the policy's decision.
+        """
         prev_time, prev_routed, prev_completed, prev_dropped = self._prev_epoch
         states = self.states().values()
         completed = sum(
@@ -330,5 +336,8 @@ class Topology:
         )
         self._prev_epoch = (time, self.routed, completed, dropped)
         delta = policy.decide(signal)
-        if delta and self.live:
-            self.scale(time, max(min_shards, min(max_shards, len(self.live) + delta)))
+        live = len(self.live)
+        if delta > 0 and 0 < live < max_shards:
+            self.scale(time, min(max_shards, live + delta))
+        elif delta < 0 and live > min_shards:
+            self.scale(time, max(min_shards, live + delta))

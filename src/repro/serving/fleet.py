@@ -5,12 +5,13 @@ progressive-resolution pipeline pays off at scale when many such nodes share
 the request key space.  This module composes them:
 
 * :class:`ConsistentHashRouter` — a seeded virtual-node hash ring over
-  request keys.  Every key maps to exactly one live shard, ring balance
-  improves with the virtual-node count, and adding or removing a shard
-  remaps only the keys that ring segment owned (the classic consistent-
-  hashing stability property, which is what keeps per-shard caches warm
-  across fleet resizes); :class:`ReplicaRouter` maps each key onto a
-  group of R shards;
+  request keys, the fleet's one router.  Every key maps to exactly one
+  live owner, ring balance improves with the virtual-node count, and
+  adding or removing a shard remaps only the keys that ring segment owned
+  (the classic consistent-hashing stability property, which is what keeps
+  per-shard caches warm across fleet resizes).  With ``replicas`` R > 1 a
+  key's group is its owner plus the next R - 1 distinct shards on the
+  ring, and each request picks a member by a seeded hash;
 * :class:`ShardedFleet` — partitions an open-loop arrival trace across N
   servers by routed key.  Each shard owns its own cache tier, batcher and
   worker pool and runs its sub-trace on its own simulated clock (shards
@@ -46,7 +47,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.registry import ROUTERS
 from repro.api.reports import Report, report_type
 from repro.serving.arrivals import Request
 from repro.serving.autoscale import AutoscalePolicy, NoAutoscale
@@ -72,15 +72,23 @@ def _hash64(text: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@ROUTERS.register("consistent-hash")
 class ConsistentHashRouter:
-    """A seeded consistent-hash ring with virtual nodes.
+    """A seeded consistent-hash ring with virtual nodes and replica groups.
 
     Each shard owns ``virtual_nodes`` points on a 64-bit ring; a key routes
     to the shard owning the first point at or after the key's hash
     (wrapping).  More virtual nodes smooth the arc lengths, bounding the
     load imbalance; removing a shard hands its arcs to the ring successors
     and leaves every other key's mapping untouched.
+
+    A key's replica group is the first ``replicas`` distinct shards in ring
+    order from its hash position, so groups keep the ring's minimal-remap
+    property — membership changes only disturb groups that gained or lost
+    the changed shard.  Per-request selection inside the group is a seeded
+    blake2b hash of ``(key, request_id)``: hot keys spread across their
+    whole group, cold keys still land mostly on one shard's cache, and a
+    crashed shard's share flows to the survivors of each group.  With
+    ``replicas=1`` the group is the key's single owner, :meth:`route`.
     """
 
     def __init__(
@@ -88,11 +96,15 @@ class ConsistentHashRouter:
         shard_ids: Iterable[Any],
         virtual_nodes: int = 64,
         seed: int = 0,
+        replicas: int = 1,
     ) -> None:
         if virtual_nodes <= 0:
             raise ValueError("virtual_nodes must be positive")
+        if replicas <= 0:
+            raise ValueError("replicas must be positive")
         self.virtual_nodes = virtual_nodes
         self.seed = seed
+        self.replicas = replicas
         self._shards: set[Any] = set()
         self._ring: list[tuple[int, Any]] = []
         self._points: list[int] = []
@@ -108,13 +120,6 @@ class ConsistentHashRouter:
     @property
     def num_shards(self) -> int:
         return len(self._shards)
-
-    @property
-    def ring_size(self) -> int:
-        return len(self._ring)
-
-    def __contains__(self, shard_id: Any) -> bool:
-        return shard_id in self._shards
 
     def _node_positions(self, shard_id: Any) -> list[int]:
         return [
@@ -145,37 +150,42 @@ class ConsistentHashRouter:
         self._rebuild()
 
     # -- routing -----------------------------------------------------------------
+    def _start(self, key: str) -> int:
+        """Ring index of the first point at or after ``key``'s hash (wrapping)."""
+        index = bisect.bisect_left(self._points, _hash64(f"{self.seed}|key|{key}"))
+        return index if index < len(self._ring) else 0
+
     def route(self, key: str) -> Any:
         """The live shard owning ``key`` (deterministic for a given ring)."""
         if not self._ring:
             raise ValueError("cannot route on an empty ring; add a shard first")
-        position = _hash64(f"{self.seed}|key|{key}")
-        index = bisect.bisect_left(self._points, position)
-        if index == len(self._ring):
-            index = 0
-        return self._ring[index][1]
+        return self._ring[self._start(key)][1]
 
-    def successors(self, key: str) -> list[Any]:
-        """Distinct live shards in ring order from ``key``'s position.
+    def replica_set(self, key: str) -> list[Any]:
+        """The ``min(replicas, live)`` shards holding ``key``, in ring order.
 
-        The first entry is :meth:`route`'s answer; the rest are the shards a
-        replica group spills onto, in the deterministic order consistent
-        hashing already defines — so replica sets inherit the ring's
-        minimal-remap property.
+        The first entry is :meth:`route`'s answer; an empty ring has none.
         """
         if not self._ring:
             return []
-        position = _hash64(f"{self.seed}|key|{key}")
-        index = bisect.bisect_left(self._points, position)
-        seen: set[Any] = set()
-        ordered: list[Any] = []
-        ring_size = len(self._ring)
-        for step in range(ring_size):
-            shard_id = self._ring[(index + step) % ring_size][1]
-            if shard_id not in seen:
-                seen.add(shard_id)
-                ordered.append(shard_id)
-        return ordered
+        size = min(self.replicas, len(self._shards))
+        start = self._start(key)
+        group: list[Any] = []
+        for step in range(len(self._ring)):
+            shard_id = self._ring[(start + step) % len(self._ring)][1]
+            if shard_id not in group:
+                group.append(shard_id)
+                if len(group) == size:
+                    break
+        return group
+
+    def route_request(self, key: str, request_id: int) -> Any:
+        """Seeded per-request pick inside the key's replica group."""
+        group = self.replica_set(key)
+        if not group:
+            raise ValueError("cannot route on an empty ring; add a shard first")
+        pick = _hash64(f"{self.seed}|pick|{key}|{request_id}") % len(group)
+        return group[pick]
 
     def shard_shares(self) -> dict[Any, float]:
         """Fraction of the hash space each live shard owns (sums to 1.0)."""
@@ -187,90 +197,6 @@ class ConsistentHashRouter:
             shares[shard_id] += (position - previous) / _HASH_SPACE
             previous = position
         return shares
-
-
-@ROUTERS.register("replica")
-class ReplicaRouter:
-    """A replica-group router: one key maps onto ``replicas`` shards.
-
-    Wraps a :class:`ConsistentHashRouter`; a key's replica set is the first
-    ``replicas`` distinct shards in ring order from its hash position
-    (:meth:`ConsistentHashRouter.successors`), so replica sets keep the
-    ring's minimal-remap property — membership changes only disturb sets
-    that gained or lost the changed shard.  Per-request selection inside
-    the set is a seeded blake2b hash of ``(key, request_id)``: hot keys
-    spread across their whole replica group, cold keys still land mostly
-    on one shard's cache, and a crashed shard's share flows to the
-    survivors of each set.
-
-    With ``replicas=1`` every method degenerates to the wrapped ring
-    exactly.
-    """
-
-    def __init__(
-        self,
-        shard_ids: Iterable[Any],
-        replicas: int = 2,
-        virtual_nodes: int = 64,
-        seed: int = 0,
-    ) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
-        self.ring = ConsistentHashRouter(
-            shard_ids, virtual_nodes=virtual_nodes, seed=seed
-        )
-
-    # -- membership (delegated) --------------------------------------------------
-    @property
-    def seed(self) -> int:
-        return self.ring.seed
-
-    @property
-    def virtual_nodes(self) -> int:
-        return self.ring.virtual_nodes
-
-    @property
-    def shard_ids(self) -> list[Any]:
-        return self.ring.shard_ids
-
-    @property
-    def num_shards(self) -> int:
-        return self.ring.num_shards
-
-    def __contains__(self, shard_id: Any) -> bool:
-        return shard_id in self.ring
-
-    def add_shard(self, shard_id: Any) -> None:
-        self.ring.add_shard(shard_id)
-
-    def remove_shard(self, shard_id: Any) -> None:
-        self.ring.remove_shard(shard_id)
-
-    def shard_shares(self) -> dict[Any, float]:
-        return self.ring.shard_shares()
-
-    def successors(self, key: str) -> list[Any]:
-        return self.ring.successors(key)
-
-    # -- routing -----------------------------------------------------------------
-    def replica_set(self, key: str) -> list[Any]:
-        """The ``min(replicas, live)`` shards holding ``key``, in ring order."""
-        return self.ring.successors(key)[: self.replicas]
-
-    def route(self, key: str) -> Any:
-        """The primary replica (identical to the wrapped ring's answer)."""
-        return self.ring.route(key)
-
-    def route_request(self, key: str, request_id: int) -> Any:
-        """Seeded per-request pick inside the key's replica group."""
-        group = self.replica_set(key)
-        if not group:
-            raise ValueError("cannot route on an empty ring; add a shard first")
-        if len(group) == 1:
-            return group[0]
-        pick = _hash64(f"{self.ring.seed}|pick|{key}|{request_id}") % len(group)
-        return group[pick]
 
 
 def load_imbalance_factor(offered: Sequence[int]) -> float:
@@ -489,12 +415,13 @@ class ShardedFleet:
     :class:`FleetReport`.  A single-shard fleet is behaviourally identical
     to calling ``servers[0].run(trace)`` directly.
 
-    The fleet becomes elastic when any of these is configured:
-    ``replicas`` > 1 (the router is then a :class:`ReplicaRouter` and each
-    request picks a shard inside its key's replica group), an
-    ``autoscale`` policy (evaluated every ``autoscale_interval_s`` of
-    simulated time, its delta clamped to ``[min_shards, max_shards]``), or
-    fault ``injectors``.  ``server_factory`` builds one fresh server per
+    The fleet becomes elastic when any of these is configured: a router
+    with ``replicas`` > 1 (each request then picks a shard inside its key's
+    replica group), an ``autoscale`` policy (evaluated every
+    ``autoscale_interval_s`` of simulated time; the fleet must start with
+    ``min_shards`` to ``max_shards`` servers, and each delta is clamped
+    only toward the bound on its own side), or fault
+    ``injectors``.  ``server_factory`` builds one fresh server per
     shard id for scale-outs (ids increase and are never reused) and for
     post-crash recoveries, both with a cold cache.  ``observers`` receive
     the topology events (:class:`~repro.serving.events.ShardAdded` & co.);
@@ -512,7 +439,7 @@ class ShardedFleet:
     def __init__(
         self,
         servers: Sequence[InferenceServer],
-        router: ConsistentHashRouter | ReplicaRouter | None = None,
+        router: ConsistentHashRouter | None = None,
         *,
         server_factory: Callable[[int], InferenceServer] | None = None,
         autoscale: AutoscalePolicy | None = None,
@@ -521,7 +448,6 @@ class ShardedFleet:
         max_shards: int = 16,
         injectors: Sequence[FaultInjector] = (),
         observers: Sequence[ServerObserver] = (),
-        replicas: int = 1,
     ) -> None:
         if not servers:
             raise ValueError("a fleet needs at least one server")
@@ -532,11 +458,6 @@ class ShardedFleet:
             raise ValueError(
                 f"router shards {self.router.shard_ids} do not match the "
                 f"server indices {sorted(expected)}"
-            )
-        if getattr(self.router, "replicas", 1) != replicas:
-            raise ValueError(
-                f"the router holds {getattr(self.router, 'replicas', 1)} replicas "
-                f"per key but the fleet was given replicas={replicas}"
             )
         # The fleet-wide report prices all bytes with one bandwidth model, so
         # a heterogeneous fleet would make the fleet row contradict the
@@ -553,6 +474,11 @@ class ShardedFleet:
             raise ValueError("need 0 < min_shards <= max_shards")
         if isinstance(autoscale, NoAutoscale):
             autoscale = None  # the no-op policy never changes anything
+        if autoscale is not None and not min_shards <= len(self.servers) <= max_shards:
+            raise ValueError(
+                f"an autoscaled fleet must start with min_shards={min_shards} to "
+                f"max_shards={max_shards} servers; got {len(self.servers)}"
+            )
         if (autoscale is not None or injectors) and server_factory is None:
             raise ValueError(
                 "autoscaling and fault injection need a server_factory to "
@@ -565,7 +491,6 @@ class ShardedFleet:
         self.max_shards = max_shards
         self.injectors = list(injectors)
         self.observers = list(observers)
-        self.replicas = replicas
         self.last_records = RequestRecords()
         self.last_dropped: list[tuple[Request, str]] = []
         self.last_events: list = []
@@ -580,7 +505,9 @@ class ShardedFleet:
     @property
     def is_elastic(self) -> bool:
         """True when replicas, an autoscaler or a fault injector is configured."""
-        return self.replicas > 1 or self.autoscale is not None or bool(self.injectors)
+        return (
+            self.router.replicas > 1 or self.autoscale is not None or bool(self.injectors)
+        )
 
     @property
     def last_served(self) -> list[ServedRequest]:
@@ -598,7 +525,7 @@ class ShardedFleet:
         """
         stream = _as_stream(trace)
         router = self.router
-        if self.replicas == 1:
+        if router.replicas == 1:
             route_of = {key: router.route(key) for key in dict.fromkeys(stream.keys)}
             shards = (route_of[key] for key in stream.keys)
         else:
@@ -763,7 +690,7 @@ class ShardedFleet:
         downtimes = topology.downtimes
         return ElasticFleetReport(
             **columns,
-            replicas=self.replicas,
+            replicas=self.router.replicas,
             final_num_shards=len(topology.live),
             shards_added=topology.shards_added,
             shards_removed=topology.shards_removed,

@@ -326,6 +326,17 @@ class TestFleetSectionValidation:
                 {"1": {"max_batch_size": "x"}},
                 r"serving\.fleet\.overrides\.1: serving\.max_batch_size must be an integer",
             ),
+            # An active autoscaler must start inside its bounds (4 shards here).
+            (
+                "autoscale",
+                {"name": "threshold", "min_shards": 5, "max_shards": 8},
+                r"serving\.fleet\.autoscale\.min_shards",
+            ),
+            (
+                "autoscale",
+                {"name": "threshold", "max_shards": 2},
+                r"serving\.fleet\.autoscale\.max_shards",
+            ),
         ],
     )
     def test_malformed_input_raises_a_value_error_naming_the_field(

@@ -31,13 +31,13 @@ from repro.data.dataset import SyntheticDataset
 from repro.data.profiles import IMAGENET_LIKE
 from repro.nn.resnet import resnet_tiny
 from repro.serving.arrivals import PoissonArrivals
-from repro.serving.autoscale import ThresholdAutoscaler
+from repro.serving.autoscale import AutoscalePolicy, ThresholdAutoscaler
 from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
-from repro.serving.elastic import FLEET_DOWN
-from repro.serving.events import ShardCrashed, ShardRecovered
+from repro.serving.elastic import FLEET_DOWN, Topology
+from repro.serving.events import ShardAdded, ShardCrashed, ShardRecovered, ShardRemoved
 from repro.serving.faults import CrashSchedule, DegradedStorage
-from repro.serving.fleet import ConsistentHashRouter, ReplicaRouter, ShardedFleet
+from repro.serving.fleet import ConsistentHashRouter, ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
@@ -127,20 +127,15 @@ def _build_fleet(plan, autoscale=None) -> ShardedFleet:
         injectors.append(CrashSchedule(crashes))
     if windows:
         injectors.append(DegradedStorage(windows))
-    if plan["replicas"] > 1:
-        router = ReplicaRouter(range(num_shards), replicas=plan["replicas"], seed=11)
-    else:
-        router = ConsistentHashRouter(range(num_shards), seed=11)
     return ShardedFleet(
         [_server_factory(shard) for shard in range(num_shards)],
-        router,
+        ConsistentHashRouter(range(num_shards), seed=11, replicas=plan["replicas"]),
         server_factory=_server_factory,
         autoscale=autoscale,
         autoscale_interval_s=max(horizon / 6.0, 1e-4),
         min_shards=1,
         max_shards=num_shards + 3,
         injectors=injectors,
-        replicas=plan["replicas"],
     )
 
 
@@ -358,3 +353,76 @@ def test_a_window_opening_as_the_previous_fault_ends_counts_as_disrupted(
     assert inside.any() and not inside.all()
     assert report.disrupted_p99_ms == float(np.percentile(latencies_ms[inside], 99))
     assert report.steady_p99_ms == float(np.percentile(latencies_ms[~inside], 99))
+
+
+class _AlwaysScale(AutoscalePolicy):
+    """A stub autoscaler that asks for the same shard delta at every epoch."""
+
+    def __init__(self, delta: int) -> None:
+        self.delta = delta
+
+    def decide(self, signal) -> int:
+        return self.delta
+
+
+def test_a_scale_out_decision_above_max_shards_removes_nothing() -> None:
+    """A fleet above ``max_shards`` holds when the policy asks for more.
+
+    Clamping ``live + delta`` into the band from above would retire two
+    shards here, against the decision.
+    """
+    topology = Topology(
+        [_server_factory(shard) for shard in range(4)],
+        ConsistentHashRouter(range(4), seed=11),
+        _server_factory,
+    )
+    topology.autoscale_epoch(0.01, _AlwaysScale(+1), min_shards=1, max_shards=2)
+    assert not [event for event in topology.events if isinstance(event, ShardRemoved)]
+    assert len(topology.live) == 4
+
+
+def test_a_scale_in_decision_below_min_shards_adds_nothing() -> None:
+    """A crash leaves the fleet below ``min_shards``; a scale-in decision adds no shard."""
+    plan = {
+        "num_shards": 2,
+        "replicas": 1,
+        "rate_rps": 2000.0,
+        "seed": 5,
+        "num_requests": 40,
+        "crashes": [],
+        "degrades": [],
+    }
+    trace = _trace(plan)
+    horizon = trace[-1].arrival_time
+    fleet = ShardedFleet(
+        [_server_factory(0), _server_factory(1)],
+        ConsistentHashRouter(range(2), seed=11),
+        server_factory=_server_factory,
+        autoscale=_AlwaysScale(-1),
+        autoscale_interval_s=horizon / 6.0,
+        min_shards=2,
+        max_shards=4,
+        injectors=[CrashSchedule([{"shard": 1, "at_s": 0.3 * horizon}])],
+    )
+    report = fleet.run(trace)
+    _assert_conservation(plan, fleet, report)
+    assert report.crashes == 1
+    assert not [event for event in fleet.last_events if isinstance(event, ShardAdded)]
+    assert report.final_num_shards == 1
+
+
+def test_an_autoscaled_fleet_must_start_within_its_bounds() -> None:
+    """Library callers get the load-time config check too."""
+    servers = [_server_factory(shard) for shard in range(4)]
+    with pytest.raises(ValueError, match="max_shards=2"):
+        ShardedFleet(
+            servers, server_factory=_server_factory, autoscale=_AlwaysScale(+1), max_shards=2
+        )
+    with pytest.raises(ValueError, match="min_shards=5"):
+        ShardedFleet(
+            servers,
+            server_factory=_server_factory,
+            autoscale=_AlwaysScale(+1),
+            min_shards=5,
+            max_shards=8,
+        )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serving.fleet import ConsistentHashRouter, ReplicaRouter
+from repro.serving.fleet import ConsistentHashRouter
 
 _SETTINGS = dict(
     max_examples=40,
@@ -147,8 +147,8 @@ replica_params = st.fixed_dictionaries(
 )
 
 
-def make_replica_router(params) -> ReplicaRouter:
-    return ReplicaRouter(
+def make_replica_router(params) -> ConsistentHashRouter:
+    return ConsistentHashRouter(
         range(params["num_shards"]),
         replicas=params["replicas"],
         virtual_nodes=params["virtual_nodes"],
@@ -191,7 +191,7 @@ class TestReplicaRouter:
     @given(replica_params)
     @settings(**_SETTINGS)
     def test_single_replica_degenerates_to_the_plain_ring(self, params):
-        router = ReplicaRouter(
+        router = ConsistentHashRouter(
             range(params["num_shards"]),
             replicas=1,
             virtual_nodes=params["virtual_nodes"],
@@ -231,11 +231,11 @@ class TestReplicaRouter:
                 assert after[key] == before[key]  # untouched (minimal remap)
 
     def test_route_request_on_empty_ring_raises(self):
-        router = ReplicaRouter([0], replicas=2)
+        router = ConsistentHashRouter([0], replicas=2)
         router.remove_shard(0)
         with pytest.raises(ValueError, match="empty ring"):
             router.route_request("img0", 1)
 
     def test_invalid_replicas_raise(self):
         with pytest.raises(ValueError, match="replicas"):
-            ReplicaRouter([0, 1], replicas=0)
+            ConsistentHashRouter([0, 1], replicas=0)
