@@ -611,11 +611,7 @@ class SweepConfig(_DictMixin):
     objectives: tuple[ObjectiveConfig, ...] = ()
 
     def __post_init__(self) -> None:
-        for path, values in self.grid.items():
-            _require(
-                len(values) > 0,
-                f"sweep.grid[{path!r}] must be a non-empty list of values",
-            )
+        _require_grid_values(self.grid, "sweep.grid")
         _require(self.workers >= 1, "sweep.workers must be >= 1")
 
     @classmethod
@@ -623,11 +619,19 @@ class SweepConfig(_DictMixin):
         """Read the legacy bare-grid form as ``{"grid": data}``.
 
         Every key of a bare grid is a dotted override path; the dots make a
-        collision with the section's field names impossible.
+        collision with the section's field names impossible.  The entries
+        are checked here, so an error names the path the file spells
+        (``sweep.serving.num_workers``), not ``sweep.grid.serving.num_workers``.
         """
         if isinstance(data, dict) and data and not set(data) & {f.name for f in fields(cls)}:
+            _require_grid_values(decode(dict[str, list], data, "sweep"), "sweep")
             return {"grid": data}
         return data
+
+
+def _require_grid_values(grid: dict[str, list], path: str) -> None:
+    for key, values in grid.items():
+        _require(len(values) > 0, f"{path}.{key} must be a non-empty list of values")
 
 
 @dataclass(frozen=True)

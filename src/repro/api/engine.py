@@ -127,9 +127,15 @@ class Engine:
         return self._backbone
 
     def build_scale_model(self) -> Module:
+        """The scale model: one output per candidate resolution."""
         section = self.config.policy.scale_model
         options = dict(section.options)
-        options.setdefault("num_classes", len(self.resolutions))
+        num_classes = options.setdefault("num_classes", len(self.resolutions))
+        if num_classes != len(self.resolutions):
+            raise ValueError(
+                f"policy.scale_model.options.num_classes must equal the number of "
+                f"resolutions ({len(self.resolutions)}), got {num_classes!r}"
+            )
         return BACKBONES.build(section.name, **options)
 
     def build_policy(self) -> ResolutionPolicy:

@@ -18,6 +18,7 @@ are *populated* as the implementation modules are imported; importing
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Iterator
 
 _MISSING = object()
@@ -69,13 +70,29 @@ class Registry:
             ) from None
 
     def build(self, name: str, **kwargs: Any) -> Any:
-        """Instantiate the component registered under ``name`` with ``kwargs``."""
+        """Instantiate the component registered under ``name`` with ``kwargs``.
+
+        The options are bound against the factory's signature first, so a
+        misspelt or missing option (config ``options`` are free-form) raises
+        a :class:`ValueError` naming the component and the accepted options
+        instead of a ``TypeError`` from inside the factory.
+        """
         component = self.get(name)
         if not callable(component):
             raise TypeError(
                 f"{self.kind} {name!r} is a preset object, not a factory; "
                 "use get() instead of build()"
             )
+        signature = inspect.signature(component)
+        try:
+            signature.bind(**kwargs)
+        except TypeError as error:
+            unknown = sorted(set(kwargs) - set(signature.parameters))
+            problem = f"unknown option(s) {', '.join(unknown)}" if unknown else str(error)
+            accepted = ", ".join(sorted(signature.parameters)) or "<none>"
+            raise ValueError(
+                f"{self.kind} {name!r}: {problem}; accepted options: {accepted}"
+            ) from None
         return component(**kwargs)
 
     def names(self) -> list[str]:

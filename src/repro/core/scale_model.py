@@ -120,6 +120,12 @@ class ScaleModelPredictor:
         crop_ratio: float = 0.75,
         tie_tolerance: float = 0.02,
     ) -> None:
+        outputs = model.output_shape((1, 3, scale_resolution, scale_resolution))[-1]
+        if outputs != len(resolutions):
+            raise ValueError(
+                f"the scale model has {outputs} outputs but there are "
+                f"{len(resolutions)} candidate resolutions; it needs one per resolution"
+            )
         self.model = model
         self.resolutions = tuple(resolutions)
         self.scale_resolution = scale_resolution

@@ -11,6 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def require_sizes(layer: str, minimum: int = 1, **sizes: int) -> None:
+    """Raise ``ValueError`` naming the first of ``sizes`` not an integer ``>= minimum``.
+
+    Layers check their sizes before drawing any weights, so a zero width
+    or a stray float from a config fails at build naming the argument.
+    """
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ValueError(f"{layer} {name} must be an integer >= {minimum}, got {value!r}")
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one dimension."""
     out = (size + 2 * padding - kernel) // stride + 1

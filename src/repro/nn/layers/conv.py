@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import initializers
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import col2im, conv_output_size, im2col, require_sizes
 from repro.nn.module import Module, Parameter
 
 
@@ -13,7 +13,9 @@ class Conv2d(Module):
     """2-D convolution over NCHW tensors via im2col lowering.
 
     Supports grouped convolution (``groups > 1``), which MobileNetV2's
-    depthwise convolutions require (``groups == in_channels``).
+    depthwise convolutions require (``groups == in_channels``).  Every
+    convolution is one unfold over all input channels and one contraction
+    batched over the groups, in the forward and the backward pass.
 
     Parameters
     ----------
@@ -40,6 +42,11 @@ class Conv2d(Module):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
+        require_sizes(
+            "Conv2d", in_channels=in_channels, out_channels=out_channels,
+            kernel_size=kernel_size, stride=stride, groups=groups,
+        )
+        require_sizes("Conv2d", minimum=0, padding=padding)
         if in_channels % groups or out_channels % groups:
             raise ValueError("in_channels and out_channels must be divisible by groups")
         self.in_channels = in_channels
@@ -70,64 +77,56 @@ class Conv2d(Module):
 
     # -- forward ------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        out_n, out_c, out_h, out_w = self.output_shape(x.shape)
+        n, out_c, out_h, out_w = self.output_shape(x.shape)
         k = self.kernel_size
-        group_in = self.in_channels // self.groups
-        group_out = self.out_channels // self.groups
-
-        out = np.empty((n, self.out_channels, out_h, out_w), dtype=np.float64)
-        cols_per_group: list[np.ndarray] = []
-        for g in range(self.groups):
-            x_g = x[:, g * group_in : (g + 1) * group_in]
-            cols = im2col(x_g, k, k, self.stride, self.padding)
-            cols_per_group.append(cols)
-            w_g = self.weight.value[g * group_out : (g + 1) * group_out]
-            w_mat = w_g.reshape(group_out, group_in * k * k)
-            # (N, group_out, out_h*out_w)
-            out_g = np.einsum("oc,ncl->nol", w_mat, cols, optimize=True)
-            out[:, g * group_out : (g + 1) * group_out] = out_g.reshape(
-                n, group_out, out_h, out_w
-            )
+        # One unfold over all channels.  Its rows are channel-major, so
+        # group g owns the g-th block of ``in_channels // groups * k * k`` rows.
+        cols = im2col(x, k, k, self.stride, self.padding)
+        cols = cols.reshape(n, self.groups, -1, cols.shape[-1])
+        weight = self.weight.value.reshape(self.groups, out_c // self.groups, -1)
+        out = self._contract("goc,ngcl->ngol", weight, cols)
+        # einsum may hand back a channel-last layout; later reductions
+        # (BatchNorm's batch mean) sum in memory order.
+        out = np.ascontiguousarray(out.reshape(n, out_c, out_h, out_w))
         if self.has_bias:
             out += self.bias.value.reshape(1, -1, 1, 1)
-        self._cache = (x.shape, cols_per_group)
+        self._cache = (x.shape, cols)
         return out
 
     # -- backward -----------------------------------------------------------
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        input_shape, cols_per_group = self._cache
-        n, _, out_h, out_w = grad_output.shape
+        input_shape, cols = self._cache
+        n, out_c, out_h, out_w = grad_output.shape
         k = self.kernel_size
-        group_in = self.in_channels // self.groups
-        group_out = self.out_channels // self.groups
 
         if self.has_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
 
-        grad_input = np.empty(input_shape, dtype=np.float64)
-        for g in range(self.groups):
-            grad_out_g = grad_output[:, g * group_out : (g + 1) * group_out]
-            grad_out_mat = grad_out_g.reshape(n, group_out, out_h * out_w)
-            cols = cols_per_group[g]
+        grad_out = grad_output.reshape(n, self.groups, out_c // self.groups, out_h * out_w)
+        grad_w = self._contract("ngol,ngcl->goc", grad_out, cols)
+        self.weight.grad += grad_w.reshape(self.weight.grad.shape)
 
-            # weight gradient: sum over batch of grad_out @ cols^T
-            grad_w = np.einsum("nol,ncl->oc", grad_out_mat, cols, optimize=True)
-            self.weight.grad[g * group_out : (g + 1) * group_out] += grad_w.reshape(
-                group_out, group_in, k, k
-            )
+        # input gradient: W^T @ grad_out, folded back with col2im
+        weight = self.weight.value.reshape(self.groups, out_c // self.groups, -1)
+        grad_cols = self._contract("goc,ngol->ngcl", weight, grad_out)
+        return col2im(
+            grad_cols.reshape(n, -1, out_h * out_w), input_shape, k, k, self.stride, self.padding
+        )
 
-            # input gradient: W^T @ grad_out, folded back with col2im
-            w_g = self.weight.value[g * group_out : (g + 1) * group_out]
-            w_mat = w_g.reshape(group_out, group_in * k * k)
-            grad_cols = np.einsum("oc,nol->ncl", w_mat, grad_out_mat, optimize=True)
-            group_shape = (input_shape[0], group_in, input_shape[2], input_shape[3])
-            grad_input[:, g * group_in : (g + 1) * group_in] = col2im(
-                grad_cols, group_shape, k, k, self.stride, self.padding
-            )
-        return grad_input
+    def _contract(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
+        """``einsum`` batched over the group axis ``g``.
+
+        A dense convolution (one group) drops that axis and keeps the plain
+        two-operand product, which runs faster than the batched form with
+        a single group.
+        """
+        if self.groups > 1:
+            return np.einsum(subscripts, *operands, optimize=True)
+        specs = subscripts.split("->")[0].split(",")
+        dense = [op.squeeze(spec.index("g")) for spec, op in zip(specs, operands)]
+        return np.einsum(subscripts.replace("g", ""), *dense, optimize=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

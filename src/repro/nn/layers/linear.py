@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import initializers
+from repro.nn.functional import require_sizes
 from repro.nn.module import Module, Parameter
 
 
@@ -19,6 +20,7 @@ class Linear(Module):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
+        require_sizes("Linear", in_features=in_features, out_features=out_features)
         self.in_features = in_features
         self.out_features = out_features
         self.has_bias = bias

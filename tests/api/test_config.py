@@ -151,6 +151,21 @@ class TestSweepConfig:
         )
         assert config.sweep.grid == {"serving.cache.capacity_bytes": [1000, 2000]}
 
+    @pytest.mark.parametrize(
+        "sweep, names",
+        [
+            ({"serving.num_workers": "abc"}, "sweep.serving.num_workers must be a list"),
+            ({"serving.num_workers": []}, "sweep.serving.num_workers must be a non-empty"),
+            ({"grid": {"serving.num_workers": "abc"}}, "sweep.grid.serving.num_workers must be a"),
+            ({"grid": {"serving.num_workers": []}}, "sweep.grid.serving.num_workers must be a"),
+        ],
+        ids=["bare-string", "bare-empty", "grid-string", "grid-empty"],
+    )
+    def test_errors_name_the_path_the_file_spells(self, sweep, names):
+        with pytest.raises(ValueError) as error:
+            EngineConfig.from_dict({"sweep": sweep})
+        assert names in str(error.value)
+
     def test_full_section_from_dict(self):
         config = EngineConfig.from_dict(
             {

@@ -8,7 +8,8 @@ walks every example config by the config classes' annotations, swaps one
 typed value for a value of the wrong JSON type, and checks the message.
 The contents of free-form mappings (``options``, ``store.overrides``,
 sweep-grid value lists, per-shard patches) are not typed, so they are not
-swapped.
+swapped.  A component's ``options`` are checked when the engine builds
+it instead: ``repro serve`` must fail the same clean way on those.
 """
 
 from __future__ import annotations
@@ -167,12 +168,39 @@ def test_probed_input_fails_at_load_naming_the_field(path, value, names):
     assert names in str(error.value)
 
 
-@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
-def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, capsys):
+def _assert_serve_fails_cleanly(data: dict, names: str, tmp_path, capsys) -> None:
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(_bursty_with(path, value)))
+    config.write_text(json.dumps(data))
     assert main(["serve", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
+
+
+@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
+def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, capsys):
+    _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)
+
+
+#: Component ``options`` that crashed with a traceback or ran with a wrong
+#: result: ``Registry.build`` binds them against the factory's signature,
+#: the layers check their sizes, and the engine gives the scale model one
+#: output per resolution.  (path, value, text the error names).
+BUILD_PROBES = [
+    ("backbone.options.base_widht", 4, "unknown option(s) base_widht; accepted options:"),
+    ("serving.arrivals.options.sead", 3, "unknown option(s) sead; accepted options:"),
+    ("backbone.options.base_width", 0, "Conv2d out_channels must be"),
+    ("backbone.options.num_classes", 0, "Linear out_features must be"),
+    ("policy.scale_model.options.num_classes", 5, "policy.scale_model.options.num_classes"),
+    ("policy.scale_model.options.num_classes", 2, "policy.scale_model.options.num_classes"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, names", BUILD_PROBES, ids=[f"{p[0]}={p[1]}" for p in BUILD_PROBES]
+)
+def test_bad_component_options_fail_at_build_with_one_error_line(
+    path, value, names, tmp_path, capsys
+):
+    _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)

@@ -26,6 +26,21 @@ class TestRegistryMechanics:
         assert registry.get("gizmo") is make_gizmo
         assert registry.build("gizmo", size=3) == ("gizmo", 3)
 
+    def test_build_names_unknown_options_and_the_accepted_ones(self):
+        registry = Registry("widget")
+        registry.register("gizmo", lambda size=1, seed=0: ("gizmo", size))
+        with pytest.raises(
+            ValueError,
+            match=r"widget 'gizmo': unknown option\(s\) sead, sise; accepted options: seed, size",
+        ):
+            registry.build("gizmo", sise=3, sead=1)
+
+    def test_build_names_a_missing_required_option(self):
+        registry = Registry("widget")
+        registry.register("gizmo", lambda size: ("gizmo", size))
+        with pytest.raises(ValueError, match="widget 'gizmo': missing a required argument: 'size'"):
+            registry.build("gizmo")
+
     def test_direct_registration_of_preset_objects(self):
         registry = Registry("preset")
         preset = object()

@@ -13,7 +13,7 @@ import pytest
 from repro.codec.progressive import ProgressiveEncoder
 from repro.core.pipeline import DynamicResolutionPipeline
 from repro.core.policies import DynamicResolutionPolicy, StaticResolutionPolicy
-from repro.core.scale_model import ScaleModelConfig, ScaleModelTrainer
+from repro.core.scale_model import ScaleModelConfig, ScaleModelPredictor, ScaleModelTrainer
 from repro.core.sharding import train_sharded_backbones
 from repro.core.trainer import Trainer, TrainingConfig, evaluate_accuracy
 from repro.nn.mobilenet import mobilenet_tiny
@@ -112,6 +112,11 @@ class TestShardingAndScaleModel:
         assert np.all((probabilities >= 0.0) & (probabilities <= 1.0))
         resolution, _ = predictor.choose_resolution(tiny_imagenet_like[0].render())
         assert resolution in RESOLUTIONS
+
+    @pytest.mark.parametrize("outputs", [2, 5])
+    def test_predictor_needs_one_output_per_resolution(self, outputs):
+        with pytest.raises(ValueError, match=f"{outputs} outputs but there are 3"):
+            ScaleModelPredictor(mobilenet_tiny(num_classes=outputs, seed=3), RESOLUTIONS)
 
     def test_scale_trainer_validates_targets(self, tiny_imagenet_like):
         scale_model = mobilenet_tiny(num_classes=len(RESOLUTIONS), seed=3)

@@ -69,6 +69,26 @@ class TestConv2d:
         with pytest.raises(ValueError):
             Conv2d(3, 8, kernel_size=3, groups=2)
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("in_channels", 0),
+            ("out_channels", 0),
+            ("out_channels", 2.5),
+            ("kernel_size", 0),
+            ("stride", 0),
+            ("groups", 0),
+            ("padding", -1),
+        ],
+    )
+    def test_rejects_bad_sizes_before_drawing_weights(self, argument, value):
+        sizes = dict(in_channels=4, out_channels=4, kernel_size=3, stride=1, padding=1, groups=1)
+        sizes[argument] = value
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"Conv2d {argument} must be"):
+            Conv2d(**sizes, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
 
 class TestLinear:
     def test_matches_manual_affine(self):
@@ -88,6 +108,17 @@ class TestLinear:
         layer = Linear(4, 3)
         with pytest.raises(ValueError):
             layer.forward(np.zeros((2, 4, 1)))
+
+    @pytest.mark.parametrize(
+        "argument, value", [("in_features", 0), ("out_features", 0), ("out_features", -3)]
+    )
+    def test_rejects_bad_sizes_before_drawing_weights(self, argument, value):
+        sizes = dict(in_features=4, out_features=3)
+        sizes[argument] = value
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"Linear {argument} must be"):
+            Linear(**sizes, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestActivations:

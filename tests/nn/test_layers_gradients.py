@@ -46,6 +46,14 @@ def test_conv2d_grouped_gradients(rng):
     check_layer_gradients(layer, rng.normal(size=(2, 4, 5, 5)))
 
 
+def test_conv2d_grouped_strided_gradients(rng):
+    # Grouped but not depthwise: two groups of two input and three output
+    # channels each, strided, with a bias.
+    layer = Conv2d(4, 6, kernel_size=3, stride=2, padding=1, groups=2, rng=np.random.default_rng(0))
+    layer.bias.value[...] = rng.normal(size=6)
+    check_layer_gradients(layer, rng.normal(size=(2, 4, 6, 6)))
+
+
 def test_linear_gradients(rng):
     layer = Linear(7, 4, rng=np.random.default_rng(0))
     check_layer_gradients(layer, rng.normal(size=(3, 7)))
