@@ -18,6 +18,8 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy>=1.24"],
+    # scipy is a test-only oracle: the SSIM box filter is checked against
+    # scipy.ndimage.uniform_filter bit for bit.
+    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis", "scipy"]},
 )

@@ -10,7 +10,6 @@ and ablations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.imaging.color import rgb_to_grayscale
 
@@ -32,6 +31,31 @@ def psnr(reference: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> fl
     return float(10.0 * np.log10((data_range**2) / error))
 
 
+def _box_filter(images: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a ``size``×``size`` window of the last two axes, edges mirrored.
+
+    Keeps the arithmetic of ``scipy.ndimage.uniform_filter(mode="reflect")``
+    so results are bit-identical: per axis (rows, then columns), one
+    sequential running sum of the unscaled window, divided once per output.
+    A one-pixel window returns the input, as scipy does.
+    """
+    if size == 1:
+        return images
+    for axis in (-2, -1):
+        n = images.shape[axis]
+        pad = [(0, 0)] * images.ndim
+        pad[axis] = (size // 2, size - size // 2 - 1)
+        # numpy's "symmetric" (d c b a | a b c d | d c b a) is scipy's "reflect".
+        sums = np.swapaxes(np.pad(images, pad, mode="symmetric"), axis, -1)
+        # The first window's values, then what each step adds and drops
+        # (numpy buffers the overlapping operands); accumulated in place,
+        # entry size-1 onwards is the running window sum.
+        sums[..., size:] -= sums[..., : n - 1]
+        np.cumsum(sums, axis=-1, out=sums)
+        images = np.swapaxes(sums[..., size - 1 :] / size, axis, -1)
+    return images
+
+
 def _ssim_single_channel(
     reference: np.ndarray,
     test: np.ndarray,
@@ -46,17 +70,17 @@ def _ssim_single_channel(
     # Uniform window is the classic Wang et al. 8x8 variant; it is separable
     # and fast, which matters because calibration computes SSIM per image
     # per scan prefix.
-    mu_x = uniform_filter(reference, size=window_size, mode="reflect")
-    mu_y = uniform_filter(test, size=window_size, mode="reflect")
+    mu_x, mu_y, mean_xx, mean_yy, mean_xy = _box_filter(
+        np.stack([reference, test, reference * reference, test * test, reference * test]),
+        window_size,
+    )
     mu_x_sq = mu_x * mu_x
     mu_y_sq = mu_y * mu_y
     mu_xy = mu_x * mu_y
 
-    sigma_x_sq = uniform_filter(reference * reference, size=window_size, mode="reflect") - mu_x_sq
-    sigma_y_sq = uniform_filter(test * test, size=window_size, mode="reflect") - mu_y_sq
-    sigma_xy = uniform_filter(reference * test, size=window_size, mode="reflect") - mu_xy
-    sigma_x_sq = np.maximum(sigma_x_sq, 0.0)
-    sigma_y_sq = np.maximum(sigma_y_sq, 0.0)
+    sigma_x_sq = np.maximum(mean_xx - mu_x_sq, 0.0)
+    sigma_y_sq = np.maximum(mean_yy - mu_y_sq, 0.0)
+    sigma_xy = mean_xy - mu_xy
 
     numerator = (2.0 * mu_xy + c1) * (2.0 * sigma_xy + c2)
     denominator = (mu_x_sq + mu_y_sq + c1) * (sigma_x_sq + sigma_y_sq + c2)
@@ -76,12 +100,20 @@ def ssim(
     Color images are converted to luma first (the standard practice and what
     keeps the metric cheap enough to sit in front of the vision model —
     paper §III.a).  Returns a value in ``[-1, 1]`` with 1 meaning identical.
+    ``window_size`` must be an int >= 1; images smaller than the window are
+    scored with a window as wide as their shorter side.
     """
+    if (
+        isinstance(window_size, bool)
+        or not isinstance(window_size, (int, np.integer))
+        or window_size < 1
+    ):
+        raise ValueError(f"window_size must be an int >= 1, got {window_size!r}")
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if reference.ndim == 3:
+    if reference.ndim != 2:
         reference = rgb_to_grayscale(reference)
         test = rgb_to_grayscale(test)
     if min(reference.shape[:2]) < window_size:

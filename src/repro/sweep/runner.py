@@ -30,9 +30,12 @@ combine and Pareto stages (:mod:`repro.sweep.results`,
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import multiprocessing
-from typing import TYPE_CHECKING
+import os
+from typing import TYPE_CHECKING, Callable
 
 from repro.api.reports import Report
 from repro.sweep.grid import SweepCell, expand_grid
@@ -54,9 +57,56 @@ def _shares(grid_paths, section: str) -> bool:
 
 _WORKER_STATE: dict = {}
 
+# OpenBLAS's (set, get) thread-count calls: numpy's wheels bundle a build
+# whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix; a system
+# OpenBLAS exports the plain names.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
-def _init_worker(config_data: dict, share_store: bool, share_backbone: bool) -> None:
-    """Pool initializer: rebuild the base engine inside the worker process."""
+
+def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int]] | None:
+    """The (set, get) thread-count calls of the OpenBLAS numpy loaded, or None.
+
+    Looks for the copy numpy's wheel bundles in ``numpy.libs``, then for a
+    system OpenBLAS by its soname.  Opens only a library already in the
+    process, so it never loads a second BLAS.
+    """
+    import numpy
+
+    bundled = os.path.join(os.path.dirname(numpy.__file__) + ".libs", "*openblas*")
+    candidates = sorted(glob.glob(bundled)) + ["libopenblas.so.0"]
+    for path in candidates:
+        try:
+            library = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(library, set_name):
+                set_threads = getattr(library, set_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads = getattr(library, get_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def _init_worker(
+    config_data: dict, share_store: bool, share_backbone: bool, processes: int
+) -> None:
+    """Pool initializer: cap BLAS threads, then rebuild the base engine.
+
+    A forked or spawned worker's OpenBLAS sizes its thread pool to every CPU,
+    so ``processes`` workers would run ``processes × cpu_count`` BLAS threads
+    that spin against each other.  Each worker gets its share instead, before
+    its first BLAS call; without a known OpenBLAS it runs unchanged.
+    """
+    blas = _openblas_threads()
+    if blas is not None:
+        set_threads, _ = blas
+        set_threads(max(1, (os.cpu_count() or 1) // processes))
+
     from repro.api.config import EngineConfig
     from repro.api.engine import Engine
 
@@ -163,13 +213,15 @@ class SweepRunner:
             for cell in pending
         ]
         payloads: dict[int, dict] = {}
+        processes = min(self.workers, len(pending))
         with multiprocessing.Pool(
-            processes=min(self.workers, len(pending)),
+            processes=processes,
             initializer=_init_worker,
             initargs=(
                 self.engine.config.to_dict(),
                 self._share_store,
                 self._share_backbone,
+                processes,
             ),
         ) as pool:
             # Completion order is nondeterministic; cell indices restore it.

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.api.config import (
 )
 from repro.api.engine import SweepPoint
 from repro.sweep.results import cell_path, combine_output_dir, load_cells
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import SweepRunner, _init_worker, _openblas_threads
 
 
 def sweep_config(**engine_kwargs) -> EngineConfig:
@@ -123,6 +125,30 @@ class TestPoolEquivalence:
         serial = combine_output_dir(tmp_path / "serial")
         pool = combine_output_dir(tmp_path / "pool")
         assert pool == serial
+
+
+def _worker_blas_threads(_: int) -> int:
+    """Pool task: the BLAS thread count of the worker that runs it."""
+    return _openblas_threads()[1]()
+
+
+class TestWorkerBlasThreads:
+    def test_helper_finds_numpys_openblas(self):
+        # A miss would leave every pool worker oversubscribed, which shows
+        # only as a slower sweep; fail here instead.
+        assert _openblas_threads() is not None
+
+    def test_pool_workers_get_their_share_of_the_cpus(self):
+        get_threads = _openblas_threads()[1]
+        before = get_threads()
+        with multiprocessing.Pool(
+            processes=2,
+            initializer=_init_worker,
+            initargs=(sweep_config().to_dict(), True, True, 2),
+        ) as pool:
+            counts = pool.map(_worker_blas_threads, range(4), chunksize=1)
+        assert counts == [max(1, os.cpu_count() // 2)] * 4
+        assert get_threads() == before
 
 
 class TestResume:
