@@ -8,7 +8,8 @@ models so it runs on a laptop in a couple of minutes:
 3. build per-resolution correctness targets and train a tiny scale model
    with the multilabel objective;
 4. calibrate SSIM read thresholds per resolution;
-5. serve the validation images through the two-model pipeline and compare
+5. serve the validation images through the serving tier at zero load (one
+   request at a time, so each runs exactly the Fig-4 steps) and compare
    accuracy, bytes read and FLOPs against static-resolution baselines.
 
 Run:  python examples/quickstart.py
@@ -20,7 +21,6 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.codec.progressive import ProgressiveEncoder
-from repro.core.pipeline import DynamicResolutionPipeline
 from repro.core.policies import DynamicResolutionPolicy, StaticResolutionPolicy
 from repro.core.scale_model import ScaleModelConfig, ScaleModelTrainer
 from repro.core.trainer import Trainer, TrainingConfig
@@ -30,6 +30,8 @@ from repro.data.splits import train_val_split
 from repro.nn.flops import count_model_flops
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
+from repro.serving.server import InferenceServer, ServerConfig
+from repro.serving.workload import ArrivalStream
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
@@ -88,8 +90,20 @@ def main() -> None:
     # -- 4. calibrate read thresholds (fixed here; see storage_calibration.py) ----
     read_policy = ScanReadPolicy(ssim_thresholds={r: 0.96 for r in RESOLUTIONS})
 
-    # -- 5. serve through static and dynamic pipelines ---------------------------
+    # -- 5. serve through static and dynamic policies at zero load --------------
+    # One worker, one-item batches and arrivals a second apart: no request
+    # ever queues or shares a batch, so the server runs the paper's Fig-4
+    # steps once per request.
     keys = [f"img{int(i)}" for i in splits.validation]
+    trace = ArrivalStream(np.arange(len(keys), dtype=np.float64), keys)
+    config = ServerConfig(
+        resolutions=RESOLUTIONS,
+        scale_resolution=SCALE_RESOLUTION,
+        num_workers=1,
+        max_batch_size=1,
+        max_wait_s=0.0,
+    )
+    backbone_macs = {r: count_model_flops(backbone, r) for r in RESOLUTIONS}
     scale_macs = count_model_flops(scale_model, SCALE_RESOLUTION)
     rows = []
     for name, policy, policy_read in (
@@ -97,23 +111,21 @@ def main() -> None:
         ("static-48", StaticResolutionPolicy(48), ScanReadPolicy()),
         ("dynamic", DynamicResolutionPolicy(scale_trainer.predictor()), read_policy),
     ):
-        pipeline = DynamicResolutionPipeline(
-            store=store,
-            backbone=backbone,
-            policy=policy,
-            resolutions=RESOLUTIONS,
-            read_policy=policy_read,
-            scale_resolution=SCALE_RESOLUTION,
-            scale_model_macs=scale_macs,
-        )
-        stats = pipeline.infer_all(keys)
+        server = InferenceServer(store, backbone, policy, config, read_policy=policy_read)
+        report = server.run(trace)
+        records = server.last_records
+        extra_macs = scale_macs if server.is_dynamic else 0
+        gmacs = [
+            (backbone_macs[r] + extra_macs) / 1e9 for r in records.column("resolutions")
+        ]
+        relative_read = records.column("bytes_from_store") / records.column("total_bytes")
         rows.append(
             [
                 name,
-                stats.accuracy,
-                stats.mean_total_gmacs,
-                stats.mean_relative_read_size,
-                str(stats.resolution_histogram()),
+                report.accuracy,
+                float(np.mean(gmacs)),
+                float(np.mean(relative_read)),
+                str(report.resolution_histogram),
             ]
         )
     print()

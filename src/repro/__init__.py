@@ -12,10 +12,12 @@ the dynamic-resolution pipeline built on top of them:
   autotuner, end-to-end latency model;
 * :mod:`repro.surrogate` — empirical accuracy surfaces calibrated to the paper;
 * :mod:`repro.core` — the paper's contribution: scale-model training, storage
-  calibration, the dynamic resolution pipeline, and static baselines;
+  calibration, and the dynamic, static and oracle resolution policies;
 * :mod:`repro.serving` — online serving: deterministic discrete-event
   simulator with scan-granular caching, dynamic batching, a bounded worker
-  pool, and load-adaptive resolution policies;
+  pool, and load-adaptive resolution policies; its ``InferenceServer`` is
+  the paper's two-model pipeline (Fig 4), which the quickstart runs at zero
+  load;
 * :mod:`repro.analysis` — Pareto frontiers and paper-style table/figure builders;
 * :mod:`repro.api` — the unified facade: component registries, declarative
   JSON configs, the :class:`~repro.api.engine.Engine`, and the

@@ -300,6 +300,8 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
 def cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.api.config import EngineConfig
 
+    if args.num_requests is not None and args.num_requests <= 0:
+        raise ValueError("--num-requests must be positive")
     config = load_config(args.config)
     if config.serving is None:
         print("error: this config has no 'serving' section to serve", file=sys.stderr)
@@ -317,7 +319,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     # the record count defaults num_requests, and memoized load_records
     # means the file is parsed a single time.
     process = engine.build_arrivals()
-    count = args.num_requests or len(process.load_records())
+    count = len(process.load_records()) if args.num_requests is None else args.num_requests
     report = engine.serve(process.stream(engine.build_store().keys(), count))
     if args.json:
         print(report.to_json())

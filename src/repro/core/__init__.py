@@ -9,10 +9,11 @@
 * :mod:`repro.core.calibration` — SSIM-threshold storage calibration via
   binary search (§V);
 * :mod:`repro.core.policies` — static, dynamic and oracle resolution
-  selection policies;
-* :mod:`repro.core.pipeline` — the end-to-end two-model pipeline of Fig 4,
-  combining the progressive store, the calibrated read policy, the scale
-  model and the backbone, with byte/FLOP/latency accounting.
+  selection policies.
+
+The end-to-end two-model pipeline of Fig 4 (prefix read, scale model,
+top-up, backbone) is :class:`~repro.serving.server.InferenceServer`;
+``examples/quickstart.py`` runs it at zero load.
 """
 
 from repro.core.trainer import Trainer, TrainingConfig, evaluate_accuracy
@@ -33,7 +34,6 @@ from repro.core.policies import (
     ResolutionPolicy,
     StaticResolutionPolicy,
 )
-from repro.core.pipeline import DynamicResolutionPipeline, InferenceRecord, PipelineStats
 
 __all__ = [
     "Trainer",
@@ -51,7 +51,4 @@ __all__ = [
     "StaticResolutionPolicy",
     "DynamicResolutionPolicy",
     "OracleResolutionPolicy",
-    "DynamicResolutionPipeline",
-    "InferenceRecord",
-    "PipelineStats",
 ]

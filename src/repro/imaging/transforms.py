@@ -1,7 +1,8 @@
 """Model-input preprocessing.
 
 Implements the crop -> resize -> normalize path of Fig 1 and packages it as
-an :class:`InferencePreprocessor` that the pipeline and baselines share.
+an :class:`InferencePreprocessor` that the trainers, the scale model and the
+Fig-4 inference path (:class:`~repro.serving.server.InferenceServer`) share.
 """
 
 from __future__ import annotations

@@ -169,6 +169,24 @@ class TestTraceSubcommands:
         assert result.returncode == 2
         assert "error:" in result.stderr
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_replay_refuses_a_non_positive_request_count(self, count, capsys):
+        status = main(
+            [
+                "trace",
+                "replay",
+                str(CONFIG_DIR / "serving_bursty.json"),
+                "--trace",
+                str(REPO_ROOT / "examples" / "traces" / "bursty_sample.jsonl"),
+                "--num-requests",
+                count,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --num-requests must be positive"]
+
 
 class TestDocsSubcommand:
     def test_docs_check_passes_on_the_committed_reference(self):

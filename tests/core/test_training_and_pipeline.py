@@ -2,22 +2,25 @@
 
 These tests exercise the *real-model* path of the reproduction: tiny numpy
 CNNs trained on small synthetic datasets, flowing through the same sharding,
-multilabel scale-model training and two-stage pipeline code the paper
-describes.  Budgets are kept small so the whole module runs in tens of
-seconds.
+multilabel scale-model training and two-stage pipeline the paper describes.
+The pipeline is the serving tier at zero load: one worker, one-item batches
+and arrivals a second apart, so every request is served alone.  Budgets are
+kept small so the whole module runs in tens of seconds.
 """
 
 import numpy as np
 import pytest
 
 from repro.codec.progressive import ProgressiveEncoder
-from repro.core.pipeline import DynamicResolutionPipeline
 from repro.core.policies import DynamicResolutionPolicy, StaticResolutionPolicy
 from repro.core.scale_model import ScaleModelConfig, ScaleModelPredictor, ScaleModelTrainer
 from repro.core.sharding import train_sharded_backbones
 from repro.core.trainer import Trainer, TrainingConfig, evaluate_accuracy
+from repro.nn.flops import count_model_flops
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
+from repro.serving.server import InferenceServer, ServerConfig
+from repro.serving.workload import ArrivalStream
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
@@ -125,6 +128,32 @@ class TestShardingAndScaleModel:
             trainer.fit(np.arange(4), np.zeros((4, 2)))
 
 
+def zero_load_server(store, backbone, policy, read_policy):
+    return InferenceServer(
+        store,
+        backbone,
+        policy,
+        ServerConfig(
+            resolutions=RESOLUTIONS,
+            scale_resolution=24,
+            num_workers=1,
+            max_batch_size=1,
+            max_wait_s=0.0,
+        ),
+        read_policy=read_policy,
+    )
+
+
+def serve_one_per_second(server, keys):
+    """Serve ``keys`` in order, a second apart; (report, records by arrival)."""
+    report = server.run(ArrivalStream(np.arange(len(keys), dtype=np.float64), keys))
+    return report, sorted(server.last_served, key=lambda record: record.request_id)
+
+
+def mean_relative_read(records):
+    return float(np.mean([r.bytes_from_store / r.total_bytes for r in records]))
+
+
 class TestDynamicPipeline:
     @pytest.fixture(scope="class")
     def store(self, tiny_imagenet_like):
@@ -152,54 +181,47 @@ class TestDynamicPipeline:
         scale_trainer.fit(indices, targets)
 
         read_policy = ScanReadPolicy(ssim_thresholds={r: 0.96 for r in RESOLUTIONS})
-        dynamic = DynamicResolutionPipeline(
-            store=store,
-            backbone=backbone,
-            policy=DynamicResolutionPolicy(scale_trainer.predictor()),
-            resolutions=RESOLUTIONS,
-            read_policy=read_policy,
-            scale_resolution=24,
-            scale_model_macs=1_000_000,
+        dynamic = zero_load_server(
+            store, backbone, DynamicResolutionPolicy(scale_trainer.predictor()), read_policy
         )
-        static = DynamicResolutionPipeline(
-            store=store,
-            backbone=backbone,
-            policy=StaticResolutionPolicy(48),
-            resolutions=RESOLUTIONS,
-            read_policy=ScanReadPolicy(),
+        static = zero_load_server(
+            store, backbone, StaticResolutionPolicy(48), ScanReadPolicy()
         )
         return dynamic, static
 
     def test_records_account_bytes_and_flops(self, pipelines, store):
         dynamic, _ = pipelines
-        record = dynamic.infer(store.keys()[0])
-        assert record.bytes_read > 0
-        assert record.bytes_read <= record.total_bytes
-        assert record.backbone_macs > 0
+        _, (record,) = serve_one_per_second(dynamic, store.keys()[:1])
+        assert record.bytes_from_store > 0
+        assert record.bytes_from_store <= record.total_bytes
+        assert count_model_flops(dynamic.backbone, record.resolution) > 0
         assert record.resolution in RESOLUTIONS
 
     def test_dynamic_pipeline_reads_no_more_than_full_static(self, pipelines, store):
         dynamic, static = pipelines
         keys = store.keys()[:6]
-        dynamic_stats = dynamic.infer_all(keys)
-        static_stats = static.infer_all(keys)
-        assert dynamic_stats.mean_relative_read_size <= 1.0 + 1e-9
-        assert static_stats.mean_relative_read_size == pytest.approx(1.0)
-        assert dynamic_stats.read_savings >= 0.0
+        _, dynamic_records = serve_one_per_second(dynamic, keys)
+        _, static_records = serve_one_per_second(static, keys)
+        assert mean_relative_read(dynamic_records) <= 1.0 + 1e-9
+        assert mean_relative_read(static_records) == pytest.approx(1.0)
+        assert 1.0 - mean_relative_read(dynamic_records) >= 0.0
 
     def test_stats_aggregation(self, pipelines, store):
         dynamic, _ = pipelines
-        stats = dynamic.stats
-        assert stats.num_requests >= 1
-        histogram = stats.resolution_histogram()
-        assert sum(histogram.values()) == stats.num_requests
-        assert 0.0 <= stats.accuracy <= 100.0
-        assert stats.mean_total_gmacs > 0.0
+        report, records = serve_one_per_second(dynamic, store.keys())
+        assert report.num_requests >= 1
+        histogram = report.resolution_histogram
+        assert sum(histogram.values()) == report.num_requests
+        assert 0.0 <= report.accuracy <= 100.0
+        scale_macs = count_model_flops(dynamic.policy.predictor.model, 24)
+        mean_total_gmacs = np.mean(
+            [
+                (count_model_flops(dynamic.backbone, r.resolution) + scale_macs) / 1e9
+                for r in records
+            ]
+        )
+        assert mean_total_gmacs > 0.0
 
-    def test_pipeline_requires_resolutions(self, store, trained_backbone):
-        backbone, _ = trained_backbone
+    def test_pipeline_requires_resolutions(self):
         with pytest.raises(ValueError):
-            DynamicResolutionPipeline(
-                store=store, backbone=backbone,
-                policy=StaticResolutionPolicy(32), resolutions=(),
-            )
+            ServerConfig(resolutions=())

@@ -11,6 +11,17 @@ These tests hold it to outside references instead:
   ρD / (2(1 − ρ)); seeded exponential batch costs on c workers make it
   M/M/c, whose mean wait is Erlang C's.  The simulated mean wait must lie
   within ``K_STANDARD_ERRORS`` batch-means standard errors of the formula;
+* a static fleet — with one replica and keys drawn i.i.d. per arrival, the
+  ring thins the Poisson stream into one independent Poisson stream per
+  shard, at rate λ·p_s (p_s: the summed probability of the keys the ring
+  gives shard s).  Per-key transfer delays are i.i.d. displacements, which
+  keep a Poisson stream Poisson, so each shard is M/D/1 at its own load
+  and the fleet's mean wait is Σ p_s·W_s;
+* Little's law between telemetry and the report — the ``queue_depth``
+  gauge a :class:`~repro.obs.metrics.MetricsCollector` samples at every
+  Poisson arrival averages, by PASTA, to the time-averaged number of
+  requests between ready and dispatch, which must equal the arrival rate
+  times the report's mean wait (dispatch − ready);
 * a metamorphic relation — adding a constant to every arrival time of a
   trace moves every event by that constant, so it changes no latency
   beyond floating-point rounding and no batch composition.
@@ -34,9 +45,11 @@ from repro.core.scale_model import ScaleModelPredictor
 from repro.imaging.synthetic import SceneSpec, render_scene
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
-from repro.serving.arrivals import OnOffArrivals, PoissonArrivals
+from repro.obs.metrics import MetricsCollector
+from repro.serving.arrivals import OnOffArrivals, PoissonArrivals, _key_probabilities
 from repro.serving.batcher import BatchCostModel, LinearBatchCost
 from repro.serving.cache import ScanCache
+from repro.serving.fleet import ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.serving.workload import ArrivalStream
 from repro.storage.bandwidth import StorageBandwidthModel
@@ -123,7 +136,9 @@ def _queue_waits(
 
 
 def _assert_mean_wait_matches(waits: np.ndarray, expected_s: float) -> None:
-    batch_means = waits.reshape(NUM_BATCHES, -1).mean(axis=1)
+    """Arrival-ordered ``waits`` fall into ``NUM_BATCHES`` consecutive batches
+    of (nearly) equal size; their means give the standard error."""
+    batch_means = np.array([batch.mean() for batch in np.array_split(waits, NUM_BATCHES)])
     standard_error = batch_means.std(ddof=1) / math.sqrt(NUM_BATCHES)
     deviation = float(waits.mean()) - expected_s
     assert abs(deviation) <= K_STANDARD_ERRORS * standard_error, (
@@ -194,11 +209,6 @@ class TestQueueingTheory:
         assert erlang_c_wait(num_workers, rate_rps, mean_service_s) == pytest.approx(expected)
 
 
-# ---------------------------------------------------------------------------
-# Time-shift invariance
-# ---------------------------------------------------------------------------
-
-
 def _catalogue_store() -> ImageStore:
     if "catalogue" not in _FIXTURES:
         store = ImageStore(encoder=ProgressiveEncoder(quality=85))
@@ -207,6 +217,132 @@ def _catalogue_store() -> ImageStore:
             store.put(f"img{index}", render_scene(spec, 64 + 8 * (index % 3)), label=index % 4)
         _FIXTURES["catalogue"] = store
     return _FIXTURES["catalogue"]
+
+
+# ---------------------------------------------------------------------------
+# Fleet anchor
+# ---------------------------------------------------------------------------
+
+
+def _arrival_ordered_waits(records) -> np.ndarray:
+    order = np.argsort(records.column("request_ids"), kind="stable")
+    return (records.column("dispatch_times") - records.column("ready_times"))[order]
+
+
+@given(
+    num_shards=st.integers(min_value=2, max_value=4),
+    zipf_alpha=st.floats(min_value=0.0, max_value=1.2),
+    rate_rps=st.floats(min_value=900.0, max_value=1500.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(num_shards=2, zipf_alpha=0.0, rate_rps=1200.0, seed=1)
+@example(num_shards=3, zipf_alpha=1.2, rate_rps=1500.0, seed=2)
+@example(num_shards=4, zipf_alpha=0.8, rate_rps=900.0, seed=3)
+@settings(max_examples=5, **_DERANDOMIZED)
+def test_fleet_shard_waits_match_pollaczek_khinchine(num_shards, zipf_alpha, rate_rps, seed):
+    service_s = 0.0005  # λ·D ≤ 0.75, so every shard is stable whatever its share
+    servers = [
+        InferenceServer(
+            _catalogue_store(),
+            _backbone(),
+            StaticResolutionPolicy(24),
+            ServerConfig(resolutions=(24,), num_workers=1, max_batch_size=1, max_wait_s=0.0),
+            batch_cost=LinearBatchCost(per_item_seconds=0.0, fixed_seconds=service_s),
+        )
+        for _ in range(num_shards)
+    ]
+    fleet = ShardedFleet(servers)
+    keys = _catalogue_store().keys()
+    trace = PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=zipf_alpha).stream(
+        keys, NUM_ARRIVALS
+    )
+    report = fleet.run(trace)
+
+    probability = dict(zip(keys, _key_probabilities(len(keys), zipf_alpha)))
+    expected_fleet = 0.0
+    for shard_id, server in enumerate(servers):
+        share = sum(probability[key] for key in keys if fleet.router.route(key) == shard_id)
+        served = report.shards[shard_id].num_requests
+        # Each arrival lands on shard s with probability p_s: a binomial count.
+        spread = math.sqrt(NUM_ARRIVALS * share * (1.0 - share))
+        assert abs(served - NUM_ARRIVALS * share) <= K_STANDARD_ERRORS * spread, (
+            f"shard {shard_id} served {served} of {NUM_ARRIVALS}; its share is {share:.4f}"
+        )
+        if share == 0.0:
+            continue
+        utilization = rate_rps * share * service_s
+        expected = utilization * service_s / (2.0 * (1.0 - utilization))
+        _assert_mean_wait_matches(_arrival_ordered_waits(server.last_records), expected)
+        expected_fleet += share * expected
+    assert report.fleet.num_requests == NUM_ARRIVALS
+    _assert_mean_wait_matches(_arrival_ordered_waits(fleet.last_records), expected_fleet)
+
+
+# ---------------------------------------------------------------------------
+# Little's law: telemetry against the report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "num_workers, max_batch_size, utilization, seed",
+    [(1, 4, 0.7, 11), (3, 2, 0.8, 12)],
+)
+def test_queue_depth_gauge_obeys_littles_law(num_workers, max_batch_size, utilization, seed):
+    batch_cost = LinearBatchCost(per_item_seconds=0.0005, fixed_seconds=0.001)
+    full_batch_s = batch_cost.batch_seconds(24, max_batch_size)
+    rate_rps = utilization * num_workers * max_batch_size / full_batch_s  # ρ < 1
+    collector = MetricsCollector()
+    server = InferenceServer(
+        _one_key_store(),
+        _backbone(),
+        StaticResolutionPolicy(24),
+        ServerConfig(
+            resolutions=(24,),
+            num_workers=num_workers,
+            max_batch_size=max_batch_size,
+            max_wait_s=0.002,
+        ),
+        batch_cost=batch_cost,
+        observers=[collector],
+    )
+    trace = PoissonArrivals(rate_rps=rate_rps, seed=seed).stream(
+        _one_key_store().keys(), NUM_ARRIVALS
+    )
+    report = server.run(trace)
+    assert report.num_requests == NUM_ARRIVALS and report.dropped_requests == 0
+
+    windows = collector.series()
+    records = server.last_records
+    # Each request's telemetry window, as the registry indexes it.
+    window_of = (records.column("arrival_times") / collector.window_s).astype(np.int64)
+    window_of -= windows[0].index
+    waits = records.column("dispatch_times") - records.column("ready_times")
+    waits_per_window = np.bincount(window_of, weights=waits, minlength=len(windows))
+    arrivals = np.array([window.arrivals for window in windows])
+    assert np.array_equal(np.bincount(window_of, minlength=len(windows)), arrivals)
+    depth_sums = np.array(
+        [(window.mean_queue_depth or 0.0) * window.arrivals for window in windows]
+    )
+    # Batch means over consecutive groups of windows: per group, the gap
+    # between the sampled queue depth and λ × wait, per arrival.
+    gaps = np.array(
+        [
+            (depth_sums[group].sum() - rate_rps * waits_per_window[group].sum())
+            / arrivals[group].sum()
+            for group in np.array_split(np.arange(len(windows)), NUM_BATCHES)
+        ]
+    )
+    standard_error = gaps.std(ddof=1) / math.sqrt(NUM_BATCHES)
+    mean_depth = depth_sums.sum() / arrivals.sum()
+    assert abs(gaps.mean()) <= K_STANDARD_ERRORS * standard_error, (
+        f"time-averaged queue depth {mean_depth:.4g} vs λ × mean wait "
+        f"{rate_rps * waits.mean():.4g}: {gaps.mean() / standard_error:+.2f} standard errors"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Time-shift invariance
+# ---------------------------------------------------------------------------
 
 
 def _cached_run(trace: ArrivalStream):

@@ -16,6 +16,7 @@ from repro.core.policies import (
     StaticResolutionPolicy,
 )
 from repro.core.scale_model import ScaleModelPredictor
+from repro.imaging.transforms import InferencePreprocessor
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
 from repro.serving import (
@@ -28,6 +29,7 @@ from repro.serving import (
     ServerConfig,
 )
 from repro.serving.batcher import LinearBatchCost
+from repro.serving.workload import ArrivalStream
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
@@ -300,3 +302,107 @@ class TestLoadAdaptation:
         policy.observe_queue_depth(100)
         assert policy.select(np.empty(0)) == 16
         assert policy.degraded_requests == 0
+
+
+# ---------------------------------------------------------------------------
+# Zero-load parity with the paper's Fig-4 steps
+# ---------------------------------------------------------------------------
+
+
+def fig4_steps(store, backbone, policy, read_policy, key):
+    """The paper's Fig-4 steps for one request, with no memo, batcher or cache.
+
+    A dynamic policy reads the scale model's calibrated scan prefix, chooses
+    the backbone resolution from those pixels, and tops the read up to the
+    chosen resolution's prefix; a static policy makes its one read.  The
+    image is then cropped, resized and classified by the backbone.
+    """
+    stored = store.metadata(key)
+    encoded = stored.encoded
+    if isinstance(policy, StaticResolutionPolicy):
+        resolution = policy.select(np.empty(0))
+        scans = read_policy.scans_for(encoded, resolution, key=key)
+        image, receipt = store.read(key, scans)
+        bytes_read = receipt.bytes_read
+    else:
+        stage1 = read_policy.scans_for(encoded, 24, key=key)
+        image, receipt = store.read(key, stage1)
+        bytes_read = receipt.bytes_read
+        resolution = policy.select(image)
+        scans = max(stage1, read_policy.scans_for(encoded, resolution, key=key))
+        if scans > stage1:
+            image, top_up = store.read_additional(key, stage1, scans)
+            bytes_read += top_up.bytes_read
+    inputs = InferencePreprocessor(crop_ratio=0.75)(image, resolution)
+    backbone.eval()
+    return dict(
+        prediction=int(np.argmax(backbone(inputs)[0])),
+        resolution=resolution,
+        scans_read=scans,
+        bytes_from_store=bytes_read,
+        total_bytes=encoded.total_bytes,
+        label=stored.label,
+    )
+
+
+def zero_load_policy(name):
+    """The quickstart's three policies; ``dynamic-<seed>-<mode>`` varies the
+    (untrained) scale model and whether it prefers the cheaper resolution."""
+    if name.startswith("static-"):
+        return StaticResolutionPolicy(int(name.split("-")[1])), ScanReadPolicy()
+    _, seed, mode = name.split("-")
+    predictor = ScaleModelPredictor(
+        mobilenet_tiny(num_classes=len(RESOLUTIONS), seed=int(seed)),
+        RESOLUTIONS,
+        scale_resolution=24,
+    )
+    policy = DynamicResolutionPolicy(predictor, prefer_cheaper=mode == "cheaper")
+    return policy, ScanReadPolicy(ssim_thresholds={r: 0.96 for r in RESOLUTIONS})
+
+
+class TestZeroLoadParity:
+    """At zero load the server is the paper's two-model pipeline, step for step.
+
+    One worker, one-item batches, no batching wait, no cache and arrivals a
+    second apart: every request is served alone, so each record must equal
+    what :func:`fig4_steps` computes for its key.  The dynamic scale models
+    are seeded so that some of their choices need a stage-2 top-up.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "static-32",
+            "static-48",
+            *(
+                f"dynamic-{seed}-{mode}"
+                for seed in (0, 1, 5)
+                for mode in ("cheaper", "argmax")
+            ),
+        ],
+    )
+    def test_every_record_matches_the_fig4_steps(self, serving_store, backbone, name):
+        policy, read_policy = zero_load_policy(name)
+        server = InferenceServer(
+            serving_store,
+            backbone,
+            policy,
+            make_config(num_workers=1, max_batch_size=1, max_wait_s=0.0),
+            read_policy=read_policy,
+        )
+        keys = serving_store.keys()
+        server.run(ArrivalStream(np.arange(len(keys), dtype=np.float64), keys))
+        served = sorted(server.last_served, key=lambda record: record.request_id)
+        assert [record.key for record in served] == keys
+        for record in served:
+            expected = fig4_steps(serving_store, backbone, policy, read_policy, record.key)
+            observed = {field: getattr(record, field) for field in expected}
+            assert observed == expected, record.key
+            assert record.bytes_from_cache == 0
+            assert record.batch_size == 1 and record.queue_wait == 0.0
+        if server.is_dynamic:
+            stage1 = [
+                read_policy.scans_for(serving_store.metadata(key).encoded, 24, key=key)
+                for key in keys
+            ]
+            assert any(r.scans_read > s for r, s in zip(served, stage1))
