@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -302,6 +303,8 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
 
     if args.num_requests is not None and args.num_requests <= 0:
         raise ValueError("--num-requests must be positive")
+    if not (math.isfinite(args.speedup) and args.speedup > 0):
+        raise ValueError("--speedup must be a finite positive number")
     config = load_config(args.config)
     if config.serving is None:
         print("error: this config has no 'serving' section to serve", file=sys.stderr)

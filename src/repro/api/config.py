@@ -24,6 +24,7 @@ unknown resolutions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, TypeVar
 
@@ -227,7 +228,10 @@ class ArrivalsConfig(_DictMixin):
                 value is None or (isinstance(value, (int, float)) and value > 0),
                 f"arrivals.options.{option} must be a positive number",
             )
-        _require(self.speedup > 0, "arrivals.speedup must be positive")
+        _require(
+            math.isfinite(self.speedup) and self.speedup > 0,
+            "arrivals.speedup must be a finite positive number",
+        )
         if self.name == "replay":
             _require(
                 bool(self.trace_path),

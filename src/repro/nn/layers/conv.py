@@ -14,8 +14,8 @@ class Conv2d(Module):
 
     Supports grouped convolution (``groups > 1``), which MobileNetV2's
     depthwise convolutions require (``groups == in_channels``).  Every
-    convolution is one unfold over all input channels and one contraction
-    batched over the groups, in the forward and the backward pass.
+    convolution is one unfold over all input channels and one ``np.matmul``
+    batched over images and groups: one in the forward pass, two in the backward.
 
     Parameters
     ----------
@@ -84,10 +84,9 @@ class Conv2d(Module):
         cols = im2col(x, k, k, self.stride, self.padding)
         cols = cols.reshape(n, self.groups, -1, cols.shape[-1])
         weight = self.weight.value.reshape(self.groups, out_c // self.groups, -1)
-        out = self._contract("goc,ngcl->ngol", weight, cols)
-        # einsum may hand back a channel-last layout; later reductions
-        # (BatchNorm's batch mean) sum in memory order.
-        out = np.ascontiguousarray(out.reshape(n, out_c, out_h, out_w))
+        # (G, go, gi·k·k) @ (n, G, gi·k·k, L) is one GEMM per image and group;
+        # its C-contiguous (n, G, go, L) result reshapes to NCHW without a copy.
+        out = np.matmul(weight, cols).reshape(n, out_c, out_h, out_w)
         if self.has_bias:
             out += self.bias.value.reshape(1, -1, 1, 1)
         self._cache = (x.shape, cols)
@@ -105,28 +104,15 @@ class Conv2d(Module):
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
 
         grad_out = grad_output.reshape(n, self.groups, out_c // self.groups, out_h * out_w)
-        grad_w = self._contract("ngol,ngcl->goc", grad_out, cols)
+        grad_w = np.matmul(grad_out, cols.swapaxes(-1, -2)).sum(axis=0)
         self.weight.grad += grad_w.reshape(self.weight.grad.shape)
 
         # input gradient: W^T @ grad_out, folded back with col2im
         weight = self.weight.value.reshape(self.groups, out_c // self.groups, -1)
-        grad_cols = self._contract("goc,ngol->ngcl", weight, grad_out)
+        grad_cols = np.matmul(weight.swapaxes(-1, -2), grad_out)
         return col2im(
             grad_cols.reshape(n, -1, out_h * out_w), input_shape, k, k, self.stride, self.padding
         )
-
-    def _contract(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """``einsum`` batched over the group axis ``g``.
-
-        A dense convolution (one group) drops that axis and keeps the plain
-        two-operand product, which runs faster than the batched form with
-        a single group.
-        """
-        if self.groups > 1:
-            return np.einsum(subscripts, *operands, optimize=True)
-        specs = subscripts.split("->")[0].split(",")
-        dense = [op.squeeze(spec.index("g")) for spec, op in zip(specs, operands)]
-        return np.einsum(subscripts.replace("g", ""), *dense, optimize=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,8 @@
 """The online serving event loop (discrete-event simulator).
 
-:class:`InferenceServer` drives the existing dynamic-resolution pipeline
-under concurrent load on one simulated clock:
+:class:`InferenceServer` is the paper's Fig-4 dynamic-resolution pipeline run
+under concurrent load on one simulated clock; at zero load (one worker,
+one-item batches, spaced arrivals) it is that pipeline alone.  Under load:
 
 1. an arrival is first offered to the :class:`AdmissionPolicy` (drops are
    tallied and reported, not silently lost); an admitted request pulls the

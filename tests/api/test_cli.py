@@ -187,6 +187,25 @@ class TestTraceSubcommands:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --num-requests must be positive"]
 
+    @pytest.mark.parametrize("speedup", ["0", "-1", "nan", "inf"])
+    def test_replay_refuses_a_speedup_that_is_not_finite_and_positive(self, speedup, capsys):
+        # inf used to be accepted and divided every timestamp to 0.
+        status = main(
+            [
+                "trace",
+                "replay",
+                str(CONFIG_DIR / "serving_bursty.json"),
+                "--trace",
+                str(REPO_ROOT / "examples" / "traces" / "bursty_sample.jsonl"),
+                "--speedup",
+                speedup,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --speedup must be a finite positive number"]
+
 
 class TestDocsSubcommand:
     def test_docs_check_passes_on_the_committed_reference(self):

@@ -183,6 +183,15 @@ def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, c
     _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)
 
 
+def test_an_infinite_speedup_fails_at_load_naming_the_field(tmp_path, capsys):
+    # A well-typed float that used to load: replay divided every timestamp
+    # by it, so every arrival landed at t = 0.  JSON carries it as Infinity.
+    data = _bursty_with("serving.arrivals.speedup", float("inf"))
+    with pytest.raises(ValueError, match="arrivals.speedup"):
+        EngineConfig.from_dict(data)
+    _assert_serve_fails_cleanly(data, "arrivals.speedup", tmp_path, capsys)
+
+
 #: Component ``options`` that crashed with a traceback or ran with a wrong
 #: result: ``Registry.build`` binds them against the factory's signature,
 #: the layers check their sizes, and the engine gives the scale model one

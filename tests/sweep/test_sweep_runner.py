@@ -17,6 +17,7 @@ from repro.api.config import (
     StoreConfig,
 )
 from repro.api.engine import SweepPoint
+from repro.sweep import runner
 from repro.sweep.results import cell_path, combine_output_dir, load_cells
 from repro.sweep.runner import SweepRunner, _init_worker, _openblas_threads
 
@@ -132,6 +133,15 @@ def _worker_blas_threads(_: int) -> int:
     return _openblas_threads()[1]()
 
 
+class _FakeSystemOpenBlas:
+    """A system OpenBLAS as ``ctypes`` opens it: the plain symbol names only."""
+
+    def __init__(self) -> None:
+        self.threads = 1
+        self.openblas_set_num_threads = lambda count: setattr(self, "threads", count)
+        self.openblas_get_num_threads = lambda: self.threads
+
+
 class TestWorkerBlasThreads:
     def test_helper_finds_numpys_openblas(self):
         # A miss would leave every pool worker oversubscribed, which shows
@@ -149,6 +159,41 @@ class TestWorkerBlasThreads:
             counts = pool.map(_worker_blas_threads, range(4), chunksize=1)
         assert counts == [max(1, os.cpu_count() // 2)] * 4
         assert get_threads() == before
+
+    def test_helper_falls_back_to_a_system_openblas_by_soname(self, monkeypatch):
+        system = _FakeSystemOpenBlas()
+        opened = []
+
+        def cdll(path, mode):
+            opened.append((path, mode))
+            if path != "libopenblas.so.0":
+                raise OSError(path)
+            return system
+
+        monkeypatch.setattr(runner.glob, "glob", lambda pattern: [])
+        monkeypatch.setattr(runner.ctypes, "CDLL", cdll)
+        set_threads, get_threads = _openblas_threads()
+        assert (set_threads, get_threads) == (
+            system.openblas_set_num_threads,
+            system.openblas_get_num_threads,
+        )
+        # Only a library already in the process is opened, never a second BLAS.
+        assert opened == [("libopenblas.so.0", getattr(os, "RTLD_NOLOAD", 0))]
+        set_threads(3)
+        assert get_threads() == 3
+
+    def test_without_a_known_openblas_the_worker_still_builds(self, monkeypatch):
+        def cdll(path, mode):
+            raise OSError(path)
+
+        monkeypatch.setattr(runner.glob, "glob", lambda pattern: [])
+        monkeypatch.setattr(runner.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(runner, "_WORKER_STATE", {})
+        assert _openblas_threads() is None
+        config = sweep_config()
+        _init_worker(config.to_dict(), True, True, 2)
+        assert runner._WORKER_STATE["engine"].config == config
+        assert runner._WORKER_STATE["share_store"] is runner._WORKER_STATE["share_backbone"] is True
 
 
 class TestResume:
