@@ -20,6 +20,7 @@ window's factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -82,6 +83,16 @@ def sort_schedule(events: Iterable[FaultEvent]) -> list[FaultEvent]:
     )
 
 
+def _is_finite(value: object) -> bool:
+    """Whether ``value`` is a finite int or float (NaN passes every ``<`` check)."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range: no usable time
+        return False
+
+
 @FAULTS.register("crash-schedule")
 class CrashSchedule(FaultInjector):
     """Explicit shard crashes: ``crashes`` is a list of crash descriptors.
@@ -110,12 +121,12 @@ class CrashSchedule(FaultInjector):
             down_s = crash.get("down_s")
             if not isinstance(shard, int) or shard < 0:
                 raise ValueError(f"crashes[{index}].shard must be a shard index")
-            if not isinstance(at_s, (int, float)) or at_s < 0:
-                raise ValueError(f"crashes[{index}].at_s must be non-negative")
-            if down_s is not None and (
-                not isinstance(down_s, (int, float)) or down_s <= 0
-            ):
-                raise ValueError(f"crashes[{index}].down_s must be positive")
+            if not _is_finite(at_s) or at_s < 0:
+                raise ValueError(
+                    f"crashes[{index}].at_s must be a finite non-negative number"
+                )
+            if down_s is not None and (not _is_finite(down_s) or down_s <= 0):
+                raise ValueError(f"crashes[{index}].down_s must be a finite positive number")
             self.crashes.append({"shard": shard, "at_s": at_s, "down_s": down_s})
 
     def schedule(self, horizon_s: float, num_shards: int) -> list[FaultEvent]:
@@ -152,8 +163,8 @@ class RandomCrashes(FaultInjector):
     ) -> None:
         if not isinstance(num_crashes, int) or num_crashes <= 0:
             raise ValueError("num_crashes must be a positive integer")
-        if mean_down_s <= 0:
-            raise ValueError("mean_down_s must be positive")
+        if not _is_finite(mean_down_s) or mean_down_s <= 0:
+            raise ValueError("mean_down_s must be a finite positive number")
         self.num_crashes = num_crashes
         self.mean_down_s = mean_down_s
         self.seed = seed
@@ -203,10 +214,14 @@ class DegradedStorage(FaultInjector):
             factor = window.get("factor", 0.5)
             if not isinstance(shard, int) or shard < 0:
                 raise ValueError(f"windows[{index}].shard must be a shard index")
-            if not isinstance(at_s, (int, float)) or at_s < 0:
-                raise ValueError(f"windows[{index}].at_s must be non-negative")
-            if not isinstance(duration_s, (int, float)) or duration_s <= 0:
-                raise ValueError(f"windows[{index}].duration_s must be positive")
+            if not _is_finite(at_s) or at_s < 0:
+                raise ValueError(
+                    f"windows[{index}].at_s must be a finite non-negative number"
+                )
+            if not _is_finite(duration_s) or duration_s <= 0:
+                raise ValueError(
+                    f"windows[{index}].duration_s must be a finite positive number"
+                )
             if not isinstance(factor, (int, float)) or not 0.0 < factor <= 1.0:
                 raise ValueError(f"windows[{index}].factor must be in (0, 1]")
             self.windows.append(

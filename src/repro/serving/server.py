@@ -49,7 +49,10 @@ every mechanism below:
   fresh computation would produce.  Nothing is memoized per *item inside a
   differently-composed batch*: batched floating-point execution is not
   bitwise row-independent, so the batch memo key is the full batch
-  signature;
+  signature.  Without a cache tier, a request's reads are a pure function
+  of the stored object, the resolution and the link too, so each read
+  plan is made once and replayed; a replay charges its reads to the store
+  and to ``store_requests`` as if they had been made again;
 * *event-object elision* — when no subscribed observer overrides
   ``on_event`` (and the control plane is the no-op default), the frozen
   event dataclasses would be constructed only to be ignored, so the loop
@@ -73,16 +76,17 @@ import itertools
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.codec.progressive import ProgressiveImage
 from repro.core.policies import ResolutionPolicy, StaticResolutionPolicy
 from repro.imaging.transforms import InferencePreprocessor
 from repro.nn.module import Module
 from repro.storage.bandwidth import StorageBandwidthModel
 from repro.storage.policy import ScanReadPolicy
-from repro.storage.store import ImageStore
+from repro.storage.store import ImageStore, ReadReceipt
 
 from repro.serving.arrivals import ClosedLoopClients, Request
 from repro.serving.batcher import BatchCostModel, DynamicBatcher, LinearBatchCost
@@ -128,6 +132,7 @@ _DONE = "done"
 #: configurations from unbounded growth.
 _PREPROCESS_MEMO_LIMIT = 2048
 _BATCH_MEMO_LIMIT = 8192
+_READ_PLAN_MEMO_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,31 @@ class ServerConfig:
             raise ValueError("scale model time must be non-negative")
         if not 0.0 < self.crop_ratio <= 1.0:
             raise ValueError("crop ratio must be in (0, 1]")
+
+
+#: A dynamic request's stage-1 read without a cache tier:
+#: ``(encoded, scans, image, receipt)``, a pure function of the stored object.
+_Stage1Plan = tuple[ProgressiveImage, int, np.ndarray, ReadReceipt]
+
+
+class _ReadPlan(NamedTuple):
+    """A cacheless request's reads past stage 1, as first made.
+
+    ``encoded`` is the stored object the reads were made from.
+    ``receipts`` and ``fetches`` (those receipts that moved bytes) are the
+    reads the plan itself makes: a static request's one read, or a dynamic
+    request's top-up (none when stage 1's prefix suffices).  The byte and
+    time fields cover the whole request, stage 1 included.
+    """
+
+    encoded: ProgressiveImage
+    image: np.ndarray
+    scans_read: int
+    receipts: tuple[ReadReceipt, ...]
+    fetches: int
+    bytes_from_store: int
+    transfer_s: float
+    total_bytes: int
 
 
 @dataclass
@@ -225,6 +255,10 @@ class InferenceServer:
         # pure, so reuse can never change a result.
         self._preprocess_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._batch_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        # Cacheless read plans (see _ingest_planned): stage 1 per key, the
+        # rest per (key, resolution, bandwidth).
+        self._stage1_plans: "OrderedDict[str, _Stage1Plan]" = OrderedDict()
+        self._read_plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
         # Whether the current run emits event objects (set per run; the loop
         # skips construction when nobody is listening).
         self._emit_on = True
@@ -297,24 +331,12 @@ class InferenceServer:
     def _fetch(
         self, key: str, num_scans: int, record: bool, already_read: int = 0
     ) -> tuple[np.ndarray, int]:
-        """Read through the cache (or store); returns (image, bytes_fetched)."""
+        """Read through the cache tier; returns (image, bytes_fetched)."""
         with self._scope("storage-read"):
-            return self._fetch_inner(key, num_scans, record, already_read)
-
-    def _fetch_inner(
-        self, key: str, num_scans: int, record: bool, already_read: int = 0
-    ) -> tuple[np.ndarray, int]:
-        if self.cache is not None:
             image, read = self.cache.read_through(
                 self.store, key, num_scans, record=record, already_read=already_read
             )
-            fetched = read.bytes_fetched
-        elif already_read:
-            image, receipt = self.store.read_additional(key, already_read, num_scans)
-            fetched = receipt.bytes_read
-        else:
-            image, receipt = self.store.read(key, num_scans)
-            fetched = receipt.bytes_read
+        fetched = read.bytes_fetched
         if fetched > 0:
             self.store_requests += 1
             self._request_fetch_ops += 1
@@ -337,12 +359,12 @@ class InferenceServer:
 
     def _ingest(self, request: Request, now: float, queue_depth: int) -> _InFlight:
         """Run the read + resolution-selection stages for one admitted arrival."""
-        stored = self.store.metadata(request.key)
-        encoded = stored.encoded
-
         if hasattr(self.policy, "observe_queue_depth"):
             self.policy.observe_queue_depth(queue_depth)
+        if self.cache is None:
+            return self._ingest_planned(request, now)
 
+        encoded = self.store.metadata(request.key).encoded
         self._request_fetch_ops = 0
         scale_seconds = 0.0
         if self.is_dynamic:
@@ -375,8 +397,7 @@ class InferenceServer:
             image, fetched = self._fetch(request.key, scans, record=True)
 
         # Whatever the request consumed but did not fetch was cache-resident.
-        consumed = encoded.cumulative_bytes(scans)
-        from_cache = consumed - fetched if self.cache is not None else 0
+        from_cache = encoded.cumulative_bytes(scans) - fetched
         transfer = self.bandwidth.estimate(fetched, num_requests=self._request_fetch_ops)
         return _InFlight(
             request=request,
@@ -387,6 +408,108 @@ class InferenceServer:
             bytes_from_cache=from_cache,
             total_bytes=encoded.total_bytes,
             ready_time=now + transfer.seconds + scale_seconds,
+        )
+
+    def _ingest_planned(self, request: Request, now: float) -> _InFlight:
+        """:meth:`_ingest` without a cache tier, replaying memoized read plans.
+
+        With no cache, what a request reads depends only on the stored
+        object, the chosen resolution and the link, so each stage's reads
+        are made once and their plan is kept: stage 1 per key, the rest per
+        ``(key, resolution, bandwidth)``.  The link is in the key because a
+        degraded-storage window swaps :attr:`bandwidth` mid-run; a plan made
+        from an object the store has since replaced is made again.  The
+        policy still chooses every time.  A hit charges the reads it replays
+        to the store, and every plan adds its fetches to ``store_requests``,
+        so the counters grow exactly as if each read had been made.
+        """
+        key = request.key
+        encoded = self.store.metadata(key).encoded
+        stage1 = None
+        scale_seconds = 0.0
+        if self.is_dynamic:
+            # Stage 1: the scale model's calibrated prefix.
+            stage1 = self._stage1_plans.get(key)
+            if stage1 is None or stage1[0] is not encoded:
+                scans = self.read_policy.scans_for(encoded, self.scale_resolution, key=key)
+                with self._scope("storage-read"):
+                    image, receipt = self.store.read(key, scans)
+                stage1 = self._stage1_plans[key] = (encoded, scans, image, receipt)
+                if len(self._stage1_plans) > _READ_PLAN_MEMO_LIMIT:
+                    self._stage1_plans.popitem(last=False)
+            else:
+                self._stage1_plans.move_to_end(key)
+                self.store.charge(stage1[3])
+            _, scans, image, receipt = stage1
+            if receipt.bytes_read > 0:
+                self.store_requests += 1
+            self._probe(request, scans, now)
+            resolution = self.policy.select_cached(image, (key, scans))
+            scale_seconds = self.config.scale_model_seconds
+        else:
+            resolution = self.policy.select(np.empty(0))
+
+        # Stage 2: the chosen resolution's reads, on this link.
+        token = (key, resolution, self.bandwidth)
+        plan = self._read_plans.get(token)
+        if plan is None or plan.encoded is not encoded:
+            plan = self._read_plans[token] = self._plan_reads(encoded, key, resolution, stage1)
+            if len(self._read_plans) > _READ_PLAN_MEMO_LIMIT:
+                self._read_plans.popitem(last=False)
+        else:
+            self._read_plans.move_to_end(token)
+            self.store.charge(*plan.receipts)
+        self.store_requests += plan.fetches
+        if stage1 is None:
+            self._probe(request, plan.scans_read, now)
+        return _InFlight(
+            request=request,
+            image=plan.image,
+            resolution=resolution,
+            scans_read=plan.scans_read,
+            bytes_from_store=plan.bytes_from_store,
+            bytes_from_cache=0,
+            total_bytes=plan.total_bytes,
+            ready_time=now + plan.transfer_s + scale_seconds,
+        )
+
+    def _plan_reads(
+        self,
+        encoded: ProgressiveImage,
+        key: str,
+        resolution: int,
+        stage1: _Stage1Plan | None,
+    ) -> _ReadPlan:
+        """Make a cacheless request's reads past stage 1 and return their plan.
+
+        A static request makes its one read; a dynamic one tops ``stage1``'s
+        prefix up to the chosen resolution's when that needs more scans.
+        """
+        scans = self.read_policy.scans_for(encoded, resolution, key=key)
+        earlier: tuple[ReadReceipt, ...] = ()
+        receipts: tuple[ReadReceipt, ...] = ()
+        with self._scope("storage-read"):
+            if stage1 is None:
+                image, receipt = self.store.read(key, scans)
+                receipts = (receipt,)
+            else:
+                _, stage1_scans, image, stage1_receipt = stage1
+                earlier = (stage1_receipt,)
+                if scans > stage1_scans:
+                    image, receipt = self.store.read_additional(key, stage1_scans, scans)
+                    receipts = (receipt,)
+                scans = max(stage1_scans, scans)
+        fetched = [r.bytes_read for r in earlier + receipts if r.bytes_read > 0]
+        transfer = self.bandwidth.estimate(sum(fetched), num_requests=len(fetched))
+        return _ReadPlan(
+            encoded=encoded,
+            image=image,
+            scans_read=scans,
+            receipts=receipts,
+            fetches=sum(1 for r in receipts if r.bytes_read > 0),
+            bytes_from_store=sum(fetched),
+            transfer_s=transfer.seconds,
+            total_bytes=encoded.total_bytes,
         )
 
     # -- prefetch ----------------------------------------------------------------

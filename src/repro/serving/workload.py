@@ -30,6 +30,7 @@ wired through the ``serving.arrivals`` config section (``trace_path``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -146,8 +147,8 @@ class TraceReplayArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if (self.trace_path is None) == (self.records is None):
             raise ValueError("provide exactly one of trace_path or records")
-        if self.speedup <= 0:
-            raise ValueError("speedup must be positive")
+        if not (math.isfinite(self.speedup) and self.speedup > 0):
+            raise ValueError("speedup must be a finite positive number")
         if self.mode not in REPLAY_MODES:
             raise ValueError(
                 f"mode must be one of {', '.join(REPLAY_MODES)}; got {self.mode!r}"

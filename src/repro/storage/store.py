@@ -123,8 +123,7 @@ class ImageStore:
             bytes_read=encoded.cumulative_bytes(num_scans),
             total_bytes=encoded.total_bytes,
         )
-        self.total_bytes_read += receipt.bytes_read
-        self.read_count += 1
+        self.charge(receipt)
         return image, receipt
 
     def read_additional(
@@ -151,11 +150,22 @@ class ImageStore:
             bytes_read=incremental_bytes,
             total_bytes=encoded.total_bytes,
         )
-        self.total_bytes_read += receipt.bytes_read
-        self.read_count += 1
+        self.charge(receipt)
         return image, receipt
 
     # -- accounting ------------------------------------------------------------------
+    def charge(self, *receipts: ReadReceipt) -> None:
+        """Count reads against the cumulative counters.
+
+        :meth:`read` and :meth:`read_additional` charge their own receipt
+        here.  A caller that replays reads it made earlier instead of making
+        them again (the serving loop's memoized read plans) charges the
+        receipts it kept, so the counters count every read either way.
+        """
+        for receipt in receipts:
+            self.total_bytes_read += receipt.bytes_read
+        self.read_count += len(receipts)
+
     def reset_counters(self) -> None:
         self.total_bytes_read = 0
         self.read_count = 0

@@ -192,6 +192,14 @@ def test_an_infinite_speedup_fails_at_load_naming_the_field(tmp_path, capsys):
     _assert_serve_fails_cleanly(data, "arrivals.speedup", tmp_path, capsys)
 
 
+def test_a_nan_fault_time_fails_at_build_naming_the_field(tmp_path, capsys):
+    # NaN passes every `<` check: an outage of NaN seconds used to run as a
+    # crash that never recovers, and exit 0.  JSON carries it as NaN.
+    data = copy.deepcopy(CONFIGS["serving_chaos"])
+    data["serving"]["fleet"]["faults"][0]["options"]["crashes"][0]["down_s"] = float("nan")
+    _assert_serve_fails_cleanly(data, "crashes[0].down_s", tmp_path, capsys)
+
+
 #: Component ``options`` that crashed with a traceback or ran with a wrong
 #: result: ``Registry.build`` binds them against the factory's signature,
 #: the layers check their sizes, and the engine gives the scale model one

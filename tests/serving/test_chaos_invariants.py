@@ -20,6 +20,8 @@ byte-identical :class:`~repro.serving.fleet.ElasticFleetReport`.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,7 +38,7 @@ from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
 from repro.serving.elastic import FLEET_DOWN, Topology
 from repro.serving.events import ShardAdded, ShardCrashed, ShardRecovered, ShardRemoved
-from repro.serving.faults import CrashSchedule, DegradedStorage
+from repro.serving.faults import CrashSchedule, DegradedStorage, RandomCrashes
 from repro.serving.fleet import ConsistentHashRouter, ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.storage.policy import ScanReadPolicy
@@ -426,3 +428,33 @@ def test_an_autoscaled_fleet_must_start_within_its_bounds() -> None:
             min_shards=5,
             max_shards=8,
         )
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda v: CrashSchedule([{"shard": 0, "at_s": v}]), "crashes[0].at_s"),
+        (lambda v: CrashSchedule([{"shard": 0, "at_s": 0.1, "down_s": v}]), "crashes[0].down_s"),
+        (lambda v: RandomCrashes(mean_down_s=v), "mean_down_s"),
+        (
+            lambda v: DegradedStorage([{"shard": 0, "at_s": v, "duration_s": 0.1}]),
+            "windows[0].at_s",
+        ),
+        (
+            lambda v: DegradedStorage([{"shard": 0, "at_s": 0.1, "duration_s": v}]),
+            "windows[0].duration_s",
+        ),
+    ],
+    ids=["crash-at", "crash-down", "random-mean-down", "window-at", "window-duration"],
+)
+@pytest.mark.parametrize(
+    "value", [_NAN, _INF, -_INF, 10**400], ids=["nan", "inf", "-inf", "int-beyond-float"]
+)
+def test_fault_times_must_be_finite(build, names, value) -> None:
+    """NaN passes every ``<`` check, and infinity or an int no float can hold is
+    no time: each fails, naming the field."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(names)} must be a finite "):
+        build(value)

@@ -7,8 +7,12 @@ identical SLO reports, and the scan-prefix cache must demonstrably cut the
 bytes read from the store on the same trace.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codec.progressive import ProgressiveEncoder
 from repro.core.policies import (
@@ -29,7 +33,10 @@ from repro.serving import (
     ServerConfig,
 )
 from repro.serving.batcher import LinearBatchCost
+from repro.serving.events import ServerEvent, ServerObserver
+from repro.serving.metrics import RequestRecords
 from repro.serving.workload import ArrivalStream
+from repro.storage.bandwidth import StorageBandwidthModel
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
@@ -390,7 +397,8 @@ class TestZeroLoadParity:
             make_config(num_workers=1, max_batch_size=1, max_wait_s=0.0),
             read_policy=read_policy,
         )
-        keys = serving_store.keys()
+        # Every key three times: the later passes replay memoized read plans.
+        keys = serving_store.keys() * 3
         server.run(ArrivalStream(np.arange(len(keys), dtype=np.float64), keys))
         served = sorted(server.last_served, key=lambda record: record.request_id)
         assert [record.key for record in served] == keys
@@ -406,3 +414,170 @@ class TestZeroLoadParity:
                 for key in keys
             ]
             assert any(r.scans_read > s for r, s in zip(served, stage1))
+
+
+# ---------------------------------------------------------------------------
+# Read plans: a cacheless server against the unmemoized read path
+# ---------------------------------------------------------------------------
+
+
+class _Recorder(ServerObserver):
+    """Collect every event; subscribing it turns event elision off."""
+
+    def __init__(self) -> None:
+        self.events: list[ServerEvent] = []
+
+    def on_event(self, event: ServerEvent) -> None:
+        self.events.append(event)
+
+
+def plan_policy(name):
+    """A fresh ``static-<r>``, ``dynamic`` or ``adaptive-<inner>`` policy."""
+    if name.startswith("adaptive-"):
+        inner = plan_policy(name[len("adaptive-") :])
+        return LoadAdaptiveResolutionPolicy(inner, RESOLUTIONS, queue_threshold=2)
+    if name == "dynamic":
+        return make_dynamic_policy()
+    return StaticResolutionPolicy(int(name.split("-")[1]))
+
+
+def record_columns(records: RequestRecords) -> dict:
+    """All fourteen record columns, as plain lists."""
+    return {name: list(getattr(records, name)) for name in RequestRecords.__slots__}
+
+
+def serve_twice(store, backbone, read_policy, policy_name, trace, observed, **options):
+    """Run one fresh server twice over ``trace``; what each run read and served."""
+    recorder = _Recorder()
+    server = InferenceServer(
+        store,
+        backbone,
+        plan_policy(policy_name),
+        make_config(),
+        read_policy=read_policy,
+        observers=[recorder] if observed else (),
+        **options,
+    )
+    runs = []
+    for _ in range(2):
+        reads, bytes_read = store.read_count, store.total_bytes_read
+        report = server.run(trace)
+        runs.append(
+            dict(
+                records=record_columns(server.last_records),
+                store_requests=server.store_requests,
+                store_reads=store.read_count - reads,
+                store_bytes=store.total_bytes_read - bytes_read,
+                degraded=report.degraded_requests,
+                events=recorder.events,
+            )
+        )
+        recorder.events = []
+    return runs
+
+
+class TestReadPlans:
+    """Without a cache tier the server replays memoized read plans.
+
+    The oracle is a server whose cache admits nothing: every prefix includes
+    the codec header, so ``ScanCache(capacity_bytes=1)`` never holds a scan
+    and that server makes every read through ``store.read`` /
+    ``read_additional``.  A cacheless server must serve, count and narrate
+    exactly what it does, on the run that builds the plans and on the run
+    that replays them.
+    """
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        policy_name=st.sampled_from(
+            ["static-24", "static-48", "dynamic", "adaptive-dynamic", "adaptive-static-48"]
+        ),
+        observed=st.booleans(),
+        seed=st.integers(0, 2**16),
+        rate_rps=st.sampled_from([300.0, 3000.0, 30000.0]),
+        num_requests=st.integers(1, 30),
+    )
+    def test_plans_serve_and_count_what_the_reads_do(
+        self,
+        serving_store,
+        backbone,
+        read_policy,
+        policy_name,
+        observed,
+        seed,
+        rate_rps,
+        num_requests,
+    ):
+        trace = PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=1.0).trace(
+            serving_store.keys(), num_requests
+        )
+        args = (serving_store, backbone, read_policy, policy_name, trace, observed)
+        planned = serve_twice(*args)
+        unmemoized = serve_twice(*args, cache=ScanCache(capacity_bytes=1))
+        for replayed, read in zip(planned, unmemoized):
+            assert replayed == read
+
+    @pytest.mark.parametrize("policy_name", ["static-48", "dynamic"])
+    def test_an_overwritten_key_is_planned_again(
+        self, tiny_imagenet_like, backbone, policy_name
+    ):
+        """A plan belongs to the object it read: once ``ImageStore.put``
+        replaces a key, the next request reads the new object."""
+        samples = list(tiny_imagenet_like)
+        store = ImageStore(encoder=ProgressiveEncoder(quality=85))
+        for sample in samples[:3]:
+            store.put(f"img{sample.index}", sample.render(), label=sample.label)
+        keys = store.keys()
+        trace = ArrivalStream(np.arange(len(keys), dtype=np.float64), keys)
+        # Shared by both servers, so only the read plans can differ.
+        policy = plan_policy(policy_name)
+        scan_policy = ScanReadPolicy(ssim_thresholds={24: 0.90, 32: 0.92, 48: 0.95})
+
+        def server():
+            return InferenceServer(
+                store, backbone, policy, make_config(), read_policy=scan_policy
+            )
+
+        reused = server()
+        reused.run(trace)
+        before = record_columns(reused.last_records)
+        store.put(keys[0], samples[7].render(), label=samples[7].label)
+        reused.run(trace)
+        fresh = server()
+        fresh.run(trace)
+        # Read columns only: the preprocess and batch memos are keyed by the
+        # store key as well, so predictions are outside what plans decide.
+        reads = ("resolutions", "scans_read", "bytes_from_store", "total_bytes", "ready_times")
+        after = record_columns(reused.last_records)
+        expected = record_columns(fresh.last_records)
+        assert {name: after[name] for name in reads} == {name: expected[name] for name in reads}
+        assert before["total_bytes"] != expected["total_bytes"]
+
+    def test_a_swapped_link_gets_its_own_plans(self, serving_store, backbone, read_policy):
+        """Degraded storage swaps ``server.bandwidth`` mid-life; plans made on
+        the old link must not price reads on the new one."""
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+            serving_store.keys(), 30
+        )
+        base = StorageBandwidthModel()
+        slow = replace(base, link_gbps=base.link_gbps / 4)
+
+        def server(bandwidth):
+            return InferenceServer(
+                serving_store,
+                backbone,
+                make_dynamic_policy(),
+                make_config(),
+                read_policy=read_policy,
+                bandwidth=bandwidth,
+            )
+
+        swapped = server(base)
+        swapped.run(trace)
+        fast = record_columns(swapped.last_records)
+        swapped.bandwidth = slow
+        swapped.run(trace)
+        fresh = server(slow)
+        fresh.run(trace)
+        assert record_columns(swapped.last_records) == record_columns(fresh.last_records)
+        assert fast["ready_times"] != record_columns(fresh.last_records)["ready_times"]

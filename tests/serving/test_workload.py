@@ -72,8 +72,9 @@ class TestTraceReplay:
         records = make_records([0.1])
         with pytest.raises(ValueError, match="mode"):
             TraceReplayArrivals(records=records, mode="stretch")
-        with pytest.raises(ValueError, match="speedup"):
-            TraceReplayArrivals(records=records, speedup=0.0)
+        for speedup in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="speedup must be a finite positive number"):
+                TraceReplayArrivals(records=records, speedup=speedup)
 
     def test_rejects_looping_a_zero_span_trace(self):
         records = make_records([0.5, 0.5])
