@@ -24,11 +24,10 @@ unknown resolutions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any, TypeVar
 
-from repro.api.schema import decode, encode
+from repro.api.schema import decode, encode, is_finite
 
 _Config = TypeVar("_Config", bound="_DictMixin")
 
@@ -225,11 +224,11 @@ class ArrivalsConfig(_DictMixin):
         for option in ("rate_rps", "on_rate_rps", "num_clients"):
             value = self.options.get(option)
             _require(
-                value is None or (isinstance(value, (int, float)) and value > 0),
-                f"arrivals.options.{option} must be a positive number",
+                value is None or (is_finite(value) and value > 0),
+                f"arrivals.options.{option} must be a finite positive number",
             )
         _require(
-            math.isfinite(self.speedup) and self.speedup > 0,
+            is_finite(self.speedup) and self.speedup > 0,
             "arrivals.speedup must be a finite positive number",
         )
         if self.name == "replay":
@@ -537,10 +536,13 @@ class ServingConfig(_DictMixin):
         _require(self.num_requests > 0, "serving.num_requests must be positive")
         _require(self.num_workers > 0, "serving.num_workers must be positive")
         _require(self.max_batch_size > 0, "serving.max_batch_size must be positive")
-        _require(self.max_wait_s >= 0, "serving.max_wait_s must be non-negative")
         _require(
-            self.scale_model_seconds >= 0,
-            "serving.scale_model_seconds must be non-negative",
+            is_finite(self.max_wait_s) and self.max_wait_s >= 0,
+            "serving.max_wait_s must be a finite non-negative number",
+        )
+        _require(
+            is_finite(self.scale_model_seconds) and self.scale_model_seconds >= 0,
+            "serving.scale_model_seconds must be a finite non-negative number",
         )
         if self.fleet is None:
             return

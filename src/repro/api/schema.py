@@ -12,7 +12,8 @@ schema.  :func:`encode` turns one into plain dicts, lists and scalars;
   a tuple; ``dict[int, V]`` turns JSON's string keys back into ``int``
   keys; a bare ``dict`` or ``list`` is free-form;
 * scalars keep their JSON type: a ``float`` field accepts an integer
-  without converting it, and an ``int`` field rejects floats and booleans.
+  without converting it (so it must be one a float can hold), and an
+  ``int`` field rejects floats and booleans.
 
 Every error is a :class:`ValueError` naming the dotted path of the
 offending value (``serving.fleet.faults[0].name``), so a bad config file
@@ -30,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 import types
 import typing
 from typing import Any, Callable, ClassVar, TypeVar
@@ -47,6 +49,21 @@ class Tagged:
     """A dataclass whose plain form carries its class's ``kind`` tag."""
 
     kind: ClassVar[str]
+
+
+def is_finite(value: Any) -> bool:
+    """Whether ``value`` is a finite int or float.
+
+    NaN passes every ``<`` check, and ``math.isfinite`` raises on an int
+    beyond the float range (JSON carries ``10**400`` as an int), so range
+    checks on outside input test finiteness through here first.
+    """
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def encode(value: Any) -> Any:
@@ -116,6 +133,10 @@ def _scalar_reader(annotation: type) -> _Reader:
         # bool subclasses int: only a bool field takes true/false.
         if isinstance(data, bool) != (annotation is bool) or not isinstance(data, accepted):
             _fail(path, _SCALARS[annotation], data)
+        if annotation is float and isinstance(data, int) and not is_finite(data):
+            raise ValueError(
+                f"{path} must be a number within the float range, got an integer beyond it"
+            )
         return data
 
     return read_scalar

@@ -141,7 +141,9 @@ class DynamicBatcher:
         immediately, while the first item of a fresh group asks the event
         loop to schedule its deadline.
         """
-        group = self._groups.setdefault(resolution, _Group())
+        group = self._groups.get(resolution)
+        if group is None:  # not setdefault: that builds a _Group per call
+            group = self._groups[resolution] = _Group()
         group.items.append(item)
         if len(group.items) >= self.max_batch_size:
             return self._flush(group), None

@@ -20,13 +20,13 @@ window's factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from repro.api.registry import FAULTS
+from repro.api.schema import is_finite as _is_finite
 
 CRASH = "crash"
 RECOVER = "recover"
@@ -55,8 +55,8 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be non-negative")
+        if not _is_finite(self.time) or self.time < 0:
+            raise ValueError("fault time must be a finite non-negative number")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {_KINDS}")
         if not 0.0 < self.factor <= 1.0:
@@ -81,16 +81,6 @@ def sort_schedule(events: Iterable[FaultEvent]) -> list[FaultEvent]:
     return sorted(
         events, key=lambda e: (e.time, _KINDS.index(e.kind), e.shard_id)
     )
-
-
-def _is_finite(value: object) -> bool:
-    """Whether ``value`` is a finite int or float (NaN passes every ``<`` check)."""
-    if not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range: no usable time
-        return False
 
 
 @FAULTS.register("crash-schedule")

@@ -57,26 +57,37 @@ every mechanism below:
   ``on_event`` (and the control plane is the no-op default), the frozen
   event dataclasses would be constructed only to be ignored, so the loop
   skips building them entirely;
-* *columnar records* — every completion appends to a
-  :class:`~repro.serving.metrics.RequestRecords` (typed arrays); a
-  :class:`ServedRequest` object is built only to ride inside a
-  :class:`RequestCompleted` event, when events are on;
+* *columnar records* — every completion appends one row tuple to a
+  bounded buffer, and every ``_RECORD_BUFFER_ROWS`` rows the buffer is
+  columnarized into a :class:`~repro.serving.metrics.RequestRecords`
+  (typed arrays) at once; a :class:`ServedRequest` object is built only to
+  ride inside a :class:`RequestCompleted` event, when events are on;
 * *cursor-merged arrivals* — a sorted open-loop
   :class:`~repro.serving.workload.ArrivalStream` is consumed through an
   index cursor merged against the heap (arrivals win time ties, as if
   each had been pushed before every runtime event), so a million-request
-  trace never materializes a million heap entries or ``Request`` objects
-  up front.
+  trace never materializes a million heap entries up front.  The cursor
+  reads ``array`` copies of the stream's columns, which index to plain
+  Python scalars;
+* *a lean per-request path* — a cursor-fed arrival builds a ``Request``
+  only when something consumes one (an observer, or an admission policy
+  other than always-admit): the in-flight record, a ``__slots__`` class,
+  carries the arrival's id, key, time and client itself, plus the stored
+  object's label, so the completion fold looks nothing up.  Whatever
+  depends only on the server's configuration — static or dynamic policy,
+  cache tier or read plans, the link's plan table, the policy's
+  queue-depth hook — is resolved once per run, not once per request, and
+  profiler scopes are entered only when a profiler is attached.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from collections import OrderedDict, deque
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -133,6 +144,16 @@ _DONE = "done"
 _PREPROCESS_MEMO_LIMIT = 2048
 _BATCH_MEMO_LIMIT = 8192
 _READ_PLAN_MEMO_LIMIT = 2048
+#: Links whose read-plan tables a server keeps (a degraded-storage window
+#: swaps in a slower link, then the base one again).
+_READ_PLAN_LINK_LIMIT = 8
+
+#: Completions buffered as row tuples before they are columnarized into the
+#: run's RequestRecords; the bound keeps a long run's buffer from holding
+#: one tuple per request.
+_RECORD_BUFFER_ROWS = 1024
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -194,19 +215,59 @@ class _ReadPlan(NamedTuple):
     total_bytes: int
 
 
-@dataclass
 class _InFlight:
-    """A request between admission and completion."""
+    """A request between admission and completion.
 
-    request: Request
-    image: np.ndarray
-    resolution: int
-    scans_read: int
-    bytes_from_store: int
-    bytes_from_cache: int
-    total_bytes: int
-    ready_time: float
-    dispatch_time: float = 0.0
+    It carries the arrival's identity (``request_id``, ``key``,
+    ``arrival_time``, ``client_id``) and the stored object's ``label``
+    itself, so an arrival needs no ``Request`` object and the completion
+    fold no store lookup.  ``dispatch_time`` is set when its batch starts.
+    """
+
+    __slots__ = (
+        "request_id",
+        "key",
+        "arrival_time",
+        "client_id",
+        "label",
+        "image",
+        "resolution",
+        "scans_read",
+        "bytes_from_store",
+        "bytes_from_cache",
+        "total_bytes",
+        "ready_time",
+        "dispatch_time",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        key: str,
+        arrival_time: float,
+        client_id: int | None,
+        label: int | None,
+        image: np.ndarray,
+        resolution: int,
+        scans_read: int,
+        bytes_from_store: int,
+        bytes_from_cache: int,
+        total_bytes: int,
+        ready_time: float,
+    ) -> None:
+        self.request_id = request_id
+        self.key = key
+        self.arrival_time = arrival_time
+        self.client_id = client_id
+        self.label = label
+        self.image = image
+        self.resolution = resolution
+        self.scans_read = scans_read
+        self.bytes_from_store = bytes_from_store
+        self.bytes_from_cache = bytes_from_cache
+        self.total_bytes = total_bytes
+        self.ready_time = ready_time
+        self.dispatch_time = 0.0
 
 
 class InferenceServer:
@@ -256,12 +317,15 @@ class InferenceServer:
         self._preprocess_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._batch_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         # Cacheless read plans (see _ingest_planned): stage 1 per key, the
-        # rest per (key, resolution, bandwidth).
+        # rest per (key, resolution) in one LRU table per link.
         self._stage1_plans: "OrderedDict[str, _Stage1Plan]" = OrderedDict()
-        self._read_plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
-        # Whether the current run emits event objects (set per run; the loop
-        # skips construction when nobody is listening).
+        self._read_plans: "OrderedDict[StorageBandwidthModel, OrderedDict]" = OrderedDict()
+        # Resolved once per run (see _run): whether the run emits event
+        # objects (the loop skips construction when nobody is listening),
+        # whether the policy is dynamic, and the current link's plan table.
         self._emit_on = True
+        self._dynamic = self.is_dynamic
+        self._link_plans: "OrderedDict[tuple, _ReadPlan]" = OrderedDict()
         self.store.enable_decode_cache()
         # Control-plane policies observe the same stream as everyone else.
         self._observers: list[ServerObserver] = [
@@ -304,11 +368,12 @@ class InferenceServer:
         for observer in self._observers:
             observer.on_event(event)
 
-    def _scope(self, name: str):
-        """A profiler scope when profiling is on, else a no-op context."""
-        if self.profiler is not None:
-            return self.profiler.scope(name)
-        return nullcontext()
+    def _timed(self, name: str, call: Callable[..., _T], *args) -> _T:
+        """``call(*args)``, inside the profiler scope ``name`` when profiling is on."""
+        if self.profiler is None:
+            return call(*args)
+        with self.profiler.scope(name):
+            return call(*args)
 
     # -- results -----------------------------------------------------------------
     @property
@@ -332,10 +397,8 @@ class InferenceServer:
         self, key: str, num_scans: int, record: bool, already_read: int = 0
     ) -> tuple[np.ndarray, int]:
         """Read through the cache tier; returns (image, bytes_fetched)."""
-        with self._scope("storage-read"):
-            image, read = self.cache.read_through(
-                self.store, key, num_scans, record=record, already_read=already_read
-            )
+        args = (self.store, key, num_scans, record, already_read)
+        image, read = self._timed("storage-read", self.cache.read_through, *args)
         fetched = read.bytes_fetched
         if fetched > 0:
             self.store_requests += 1
@@ -343,9 +406,7 @@ class InferenceServer:
         return image, fetched
 
     def _probe(self, request: Request, requested_scans: int, now: float) -> None:
-        """Narrate the pre-read cache probe for one admitted arrival."""
-        if not self._emit_on:
-            return
+        """Narrate the pre-read cache probe for one admitted arrival (events on)."""
         self._emit(
             CacheProbed(
                 time=now,
@@ -357,83 +418,86 @@ class InferenceServer:
             )
         )
 
-    def _ingest(self, request: Request, now: float, queue_depth: int) -> _InFlight:
-        """Run the read + resolution-selection stages for one admitted arrival."""
-        if hasattr(self.policy, "observe_queue_depth"):
-            self.policy.observe_queue_depth(queue_depth)
-        if self.cache is None:
-            return self._ingest_planned(request, now)
+    def _ingest_cached(
+        self, request_id: int, key: str, now: float, client_id: int | None, request: Request | None
+    ) -> _InFlight:
+        """Run the read + resolution-selection stages for one admitted arrival.
 
-        encoded = self.store.metadata(request.key).encoded
+        Reads go through the cache tier.  ``request`` is the arrival's
+        ``Request`` or None when none was built; only events read it.
+        """
+        stored = self.store.metadata(key)
+        encoded = stored.encoded
         self._request_fetch_ops = 0
         scale_seconds = 0.0
-        if self.is_dynamic:
+        if self._dynamic:
             # Stage 1: cheap prefix for the scale model.
-            stage1_scans = self.read_policy.scans_for(
-                encoded, self.scale_resolution, key=request.key
-            )
-            self._probe(request, stage1_scans, now)
-            image, fetched = self._fetch(request.key, stage1_scans, record=True)
+            stage1_scans = self.read_policy.scans_for(encoded, self.scale_resolution, key=key)
+            if self._emit_on:
+                self._probe(request, stage1_scans, now)
+            image, fetched = self._fetch(key, stage1_scans, record=True)
             # The decoded prefix is a pure function of (key, scans), so the
             # scale model's per-image choice can memoize under that token
             # (queue-dependent degradation still runs fresh).
-            resolution = self.policy.select_cached(image, (request.key, stage1_scans))
+            resolution = self.policy.select_cached(image, (key, stage1_scans))
             scale_seconds = self.config.scale_model_seconds
 
             # Stage 2: top up to the chosen resolution's calibrated prefix.
-            scans = max(
-                stage1_scans,
-                self.read_policy.scans_for(encoded, resolution, key=request.key),
-            )
+            scans = max(stage1_scans, self.read_policy.scans_for(encoded, resolution, key=key))
             if scans > stage1_scans:
-                image, extra = self._fetch(
-                    request.key, scans, record=False, already_read=stage1_scans
-                )
+                image, extra = self._fetch(key, scans, record=False, already_read=stage1_scans)
                 fetched += extra
         else:
             resolution = self.policy.select(np.empty(0))
-            scans = self.read_policy.scans_for(encoded, resolution, key=request.key)
-            self._probe(request, scans, now)
-            image, fetched = self._fetch(request.key, scans, record=True)
+            scans = self.read_policy.scans_for(encoded, resolution, key=key)
+            if self._emit_on:
+                self._probe(request, scans, now)
+            image, fetched = self._fetch(key, scans, record=True)
 
         # Whatever the request consumed but did not fetch was cache-resident.
         from_cache = encoded.cumulative_bytes(scans) - fetched
         transfer = self.bandwidth.estimate(fetched, num_requests=self._request_fetch_ops)
         return _InFlight(
-            request=request,
-            image=image,
-            resolution=resolution,
-            scans_read=scans,
-            bytes_from_store=fetched,
-            bytes_from_cache=from_cache,
-            total_bytes=encoded.total_bytes,
-            ready_time=now + transfer.seconds + scale_seconds,
+            request_id,
+            key,
+            now,
+            client_id,
+            stored.label,
+            image,
+            resolution,
+            scans,
+            fetched,
+            from_cache,
+            encoded.total_bytes,
+            now + transfer.seconds + scale_seconds,
         )
 
-    def _ingest_planned(self, request: Request, now: float) -> _InFlight:
-        """:meth:`_ingest` without a cache tier, replaying memoized read plans.
+    def _ingest_planned(
+        self, request_id: int, key: str, now: float, client_id: int | None, request: Request | None
+    ) -> _InFlight:
+        """:meth:`_ingest_cached` without a cache tier, replaying read plans.
 
         With no cache, what a request reads depends only on the stored
         object, the chosen resolution and the link, so each stage's reads
         are made once and their plan is kept: stage 1 per key, the rest per
-        ``(key, resolution, bandwidth)``.  The link is in the key because a
-        degraded-storage window swaps :attr:`bandwidth` mid-run; a plan made
-        from an object the store has since replaced is made again.  The
-        policy still chooses every time.  A hit charges the reads it replays
-        to the store, and every plan adds its fetches to ``store_requests``,
-        so the counters grow exactly as if each read had been made.
+        ``(key, resolution)`` in the current link's table.  Plans belong to
+        their link because a degraded-storage window swaps :attr:`bandwidth`
+        between a fleet's runs; a plan made from an object the store has
+        since replaced is made again.  The policy still chooses every time.
+        A hit charges the reads it replays to the store, and every plan adds
+        its fetches to ``store_requests``, so the counters grow exactly as
+        if each read had been made.
         """
-        key = request.key
-        encoded = self.store.metadata(key).encoded
+        stored = self.store.metadata(key)
+        encoded = stored.encoded
         stage1 = None
         scale_seconds = 0.0
-        if self.is_dynamic:
+        if self._dynamic:
             # Stage 1: the scale model's calibrated prefix.
             stage1 = self._stage1_plans.get(key)
             if stage1 is None or stage1[0] is not encoded:
                 scans = self.read_policy.scans_for(encoded, self.scale_resolution, key=key)
-                with self._scope("storage-read"):
-                    image, receipt = self.store.read(key, scans)
+                image, receipt = self._timed("storage-read", self.store.read, key, scans)
                 stage1 = self._stage1_plans[key] = (encoded, scans, image, receipt)
                 if len(self._stage1_plans) > _READ_PLAN_MEMO_LIMIT:
                     self._stage1_plans.popitem(last=False)
@@ -443,34 +507,40 @@ class InferenceServer:
             _, scans, image, receipt = stage1
             if receipt.bytes_read > 0:
                 self.store_requests += 1
-            self._probe(request, scans, now)
+            if self._emit_on:
+                self._probe(request, scans, now)
             resolution = self.policy.select_cached(image, (key, scans))
             scale_seconds = self.config.scale_model_seconds
         else:
             resolution = self.policy.select(np.empty(0))
 
         # Stage 2: the chosen resolution's reads, on this link.
-        token = (key, resolution, self.bandwidth)
-        plan = self._read_plans.get(token)
+        plans = self._link_plans
+        token = (key, resolution)
+        plan = plans.get(token)
         if plan is None or plan.encoded is not encoded:
-            plan = self._read_plans[token] = self._plan_reads(encoded, key, resolution, stage1)
-            if len(self._read_plans) > _READ_PLAN_MEMO_LIMIT:
-                self._read_plans.popitem(last=False)
+            plan = plans[token] = self._plan_reads(encoded, key, resolution, stage1)
+            if len(plans) > _READ_PLAN_MEMO_LIMIT:
+                plans.popitem(last=False)
         else:
-            self._read_plans.move_to_end(token)
+            plans.move_to_end(token)
             self.store.charge(*plan.receipts)
         self.store_requests += plan.fetches
-        if stage1 is None:
+        if stage1 is None and self._emit_on:
             self._probe(request, plan.scans_read, now)
         return _InFlight(
-            request=request,
-            image=plan.image,
-            resolution=resolution,
-            scans_read=plan.scans_read,
-            bytes_from_store=plan.bytes_from_store,
-            bytes_from_cache=0,
-            total_bytes=plan.total_bytes,
-            ready_time=now + plan.transfer_s + scale_seconds,
+            request_id,
+            key,
+            now,
+            client_id,
+            stored.label,
+            plan.image,
+            resolution,
+            plan.scans_read,
+            plan.bytes_from_store,
+            0,
+            plan.total_bytes,
+            now + plan.transfer_s + scale_seconds,
         )
 
     def _plan_reads(
@@ -488,17 +558,18 @@ class InferenceServer:
         scans = self.read_policy.scans_for(encoded, resolution, key=key)
         earlier: tuple[ReadReceipt, ...] = ()
         receipts: tuple[ReadReceipt, ...] = ()
-        with self._scope("storage-read"):
-            if stage1 is None:
-                image, receipt = self.store.read(key, scans)
+        if stage1 is None:
+            image, receipt = self._timed("storage-read", self.store.read, key, scans)
+            receipts = (receipt,)
+        else:
+            _, stage1_scans, image, stage1_receipt = stage1
+            earlier = (stage1_receipt,)
+            if scans > stage1_scans:
+                image, receipt = self._timed(
+                    "storage-read", self.store.read_additional, key, stage1_scans, scans
+                )
                 receipts = (receipt,)
-            else:
-                _, stage1_scans, image, stage1_receipt = stage1
-                earlier = (stage1_receipt,)
-                if scans > stage1_scans:
-                    image, receipt = self.store.read_additional(key, stage1_scans, scans)
-                    receipts = (receipt,)
-                scans = max(stage1_scans, scans)
+            scans = max(stage1_scans, scans)
         fetched = [r.bytes_read for r in earlier + receipts if r.bytes_read > 0]
         transfer = self.bandwidth.estimate(sum(fetched), num_requests=len(fetched))
         return _ReadPlan(
@@ -547,7 +618,7 @@ class InferenceServer:
         bit-for-bit; ``np.concatenate`` copies the rows, so sharing the
         cached array across batches is safe.
         """
-        token = (item.request.key, item.scans_read, resolution)
+        token = (item.key, item.scans_read, resolution)
         memo = self._preprocess_memo
         hit = memo.get(token)
         if hit is None:
@@ -566,7 +637,7 @@ class InferenceServer:
         # input arrays, hence identical logits — never a per-item shortcut.
         signature = (
             resolution,
-            tuple((item.request.key, item.scans_read) for item in items),
+            tuple((item.key, item.scans_read) for item in items),
         )
         memo = self._batch_memo
         predictions = memo.get(signature)
@@ -620,27 +691,45 @@ class InferenceServer:
         admission_noop = type(self.admission) is AlwaysAdmit
         emit_on = active_observers or not prefetch_noop
         self._emit_on = emit_on
-        observes_depth = hasattr(self.policy, "observe_queue_depth")
-        needs_depth = emit_on or not admission_noop or observes_depth
+        # Events and a real admission policy take Request objects; otherwise
+        # a cursor-fed arrival never needs one.
+        build_requests = emit_on or not admission_noop
+        observe_depth = getattr(self.policy, "observe_queue_depth", None)
+        needs_depth = emit_on or not admission_noop or observe_depth is not None
+        # Per-run, not per-request: the policy kind, the read path and the
+        # link's plan table (a fleet swaps `bandwidth` only between runs).
+        self._dynamic = self.is_dynamic
+        if self.cache is None:
+            ingest = self._ingest_planned
+            links = self._read_plans
+            self._link_plans = links.setdefault(self.bandwidth, OrderedDict())
+            links.move_to_end(self.bandwidth)
+            if len(links) > _READ_PLAN_LINK_LIMIT:
+                links.popitem(last=False)
+        else:
+            ingest = self._ingest_cached
 
         # A sorted open-loop ArrivalStream is consumed through an index
         # cursor merged against the heap instead of pre-heaping N entries.
         # Pre-pushed arrivals hold tickets 0..N-1 and therefore win every
         # time tie against runtime events; `<=` below preserves exactly
-        # that ordering.
-        stream = None
+        # that ordering.  The cursor reads array copies of the columns,
+        # which index to Python floats and ints without numpy boxing.
+        times, ids, keys = array("d"), array("q"), []
         if clients is None and isinstance(initial, ArrivalStream) and initial.is_sorted:
-            stream = initial
-            stream_times = stream.times
-            stream_keys = stream.keys
-            stream_ids = stream.request_ids
-            num_pending = len(stream)
-            cursor = 0
+            times = array("d", initial.times.tobytes())
+            ids = array("q", initial.request_ids.tobytes())
+            keys = initial.keys
         else:
             for request in initial:
                 push(request.arrival_time, _ARRIVAL, request)
+        num_pending = len(times)
+        cursor = 0
 
         records = RequestRecords()
+        # Completions as ServedRequest-ordered row tuples, columnarized into
+        # `records` every _RECORD_BUFFER_ROWS rows and at the end.
+        rows: list[tuple] = []
         dropped: list[tuple[Request, str]] = []
         dispatch_queue: deque[tuple[int, list[_InFlight]]] = deque()
         free_workers = config.num_workers
@@ -665,8 +754,9 @@ class InferenceServer:
             free_workers -= 1
             for item in items:
                 item.dispatch_time = now
-            with self._scope("batch-pricing"):
-                latency = self.batch_cost.batch_seconds(resolution, len(items))
+            latency = self._timed(
+                "batch-pricing", self.batch_cost.batch_seconds, resolution, len(items)
+            )
             push(now + latency, _DONE, (resolution, items))
 
         def dispatch(resolution: int, items: list[_InFlight], now: float) -> None:
@@ -680,131 +770,133 @@ class InferenceServer:
                 dispatch_queue.append((resolution, items))
 
         now = 0.0
-        while heap or (stream is not None and cursor < num_pending):
-            if stream is not None and cursor < num_pending and (
-                not heap or stream_times[cursor] <= heap[0][0]
-            ):
+        request: Request | None
+        while heap or cursor < num_pending:
+            if profiler is not None:
+                profiler.events += 1
+            if cursor < num_pending and (not heap or times[cursor] <= heap[0][0]):
                 # Cursor-merged arrival: ties go to the arrival, matching
-                # the lower tickets pre-pushed arrivals hold.  The Request
-                # object is built here, once, only when the arrival is
-                # actually processed.
-                now = float(stream_times[cursor])
-                kind = _ARRIVAL
-                payload = Request(
-                    request_id=int(stream_ids[cursor]),
-                    key=stream_keys[cursor],
-                    arrival_time=now,
-                )
+                # the lower tickets pre-pushed arrivals hold.
+                now = times[cursor]
+                request_id = ids[cursor]
+                key = keys[cursor]
+                client_id = None
+                request = Request(request_id, key, now) if build_requests else None
                 cursor += 1
             else:
                 now, _, kind, payload = heapq.heappop(heap)
-            if profiler is not None:
-                profiler.events += 1
-
-            if kind == _ARRIVAL:
-                request = payload
-                if not prefetch_noop:
-                    # The idle gap since the previous arrival is the
-                    # prefetcher's window: planned top-ups land before this
-                    # arrival is served.
-                    idle_s = now - last_arrival_time
-                    last_arrival_time = now
-                    actions = self.prefetch.plan(now, idle_s, self)
-                    if actions:
-                        with self._scope("prefetch"):
-                            self._execute_prefetch(actions, now)
-                if needs_depth:
-                    queue_depth = batcher.queue_depth + sum(
-                        len(items) for _, items in dispatch_queue
-                    )
-                else:
-                    queue_depth = 0
-                if emit_on:
-                    self._emit(
-                        RequestArrived(time=now, request=request, queue_depth=queue_depth)
-                    )
-                if not admission_noop:
-                    decision = self.admission.admit(request, now, queue_depth)
-                    if not decision.admitted:
-                        dropped.append((request, decision.reason))
+                if kind == _ENQUEUE:
+                    batch, timer = batcher.add(payload.resolution, payload, now)
+                    if timer is not None:
+                        push(timer.deadline, _FLUSH, timer)
+                    if batch is not None:
+                        dispatch(payload.resolution, batch, now)
+                    continue
+                if kind == _FLUSH:
+                    batch = batcher.on_timeout(payload.resolution, payload.epoch)
+                    if batch is not None:
+                        dispatch(payload.resolution, batch, now)
+                    continue
+                if kind == _DONE:
+                    resolution, items = payload
+                    predictions = self._timed(
+                        "backbone-execute", self._execute, resolution, items
+                    ).tolist()
+                    batch_size = len(items)
+                    for item, prediction in zip(items, predictions):
+                        row = (
+                            item.request_id,
+                            item.key,
+                            item.arrival_time,
+                            item.ready_time,
+                            item.dispatch_time,
+                            now,
+                            resolution,
+                            item.scans_read,
+                            item.bytes_from_store,
+                            item.bytes_from_cache,
+                            item.total_bytes,
+                            batch_size,
+                            prediction,
+                            item.label,
+                        )
+                        rows.append(row)
                         if emit_on:
-                            self._emit(
-                                RequestDropped(
-                                    time=now,
-                                    request=request,
-                                    reason=decision.reason,
-                                    queue_depth=queue_depth,
-                                )
-                            )
-                        # A dropped closed-loop request still answers its
-                        # client (with a rejection), so the client thinks
-                        # and retries.
-                        if clients is not None and request.client_id is not None:
-                            follow_up = clients.next_request(request.client_id, now)
+                            self._emit(RequestCompleted(time=now, record=ServedRequest(*row)))
+                        if clients is not None and item.client_id is not None:
+                            follow_up = clients.next_request(item.client_id, now)
                             if follow_up is not None:
                                 push(follow_up.arrival_time, _ARRIVAL, follow_up)
-                        continue
-                in_flight = self._ingest(request, now, queue_depth)
-                if emit_on:
-                    self._emit(
-                        RequestAdmitted(
-                            time=now,
-                            request=request,
-                            resolution=in_flight.resolution,
-                            scans_read=in_flight.scans_read,
-                            bytes_from_store=in_flight.bytes_from_store,
-                            bytes_from_cache=in_flight.bytes_from_cache,
-                            ready_time=in_flight.ready_time,
-                        )
-                    )
-                push(in_flight.ready_time, _ENQUEUE, in_flight)
+                    if len(rows) >= _RECORD_BUFFER_ROWS:
+                        records.extend_rows(rows)
+                        rows.clear()
+                    free_workers += 1
+                    if dispatch_queue:
+                        queued_resolution, queued_items = dispatch_queue.popleft()
+                        start_batch(queued_resolution, queued_items, now)
+                    continue
+                # A heap-fed arrival (a trace or a closed-loop client).
+                request = payload
+                request_id = request.request_id
+                key = request.key
+                client_id = request.client_id
 
-            elif kind == _ENQUEUE:
-                batch, timer = batcher.add(payload.resolution, payload, now)
-                if timer is not None:
-                    push(timer.deadline, _FLUSH, timer)
-                if batch is not None:
-                    dispatch(payload.resolution, batch, now)
-
-            elif kind == _FLUSH:
-                batch = batcher.on_timeout(payload.resolution, payload.epoch)
-                if batch is not None:
-                    dispatch(payload.resolution, batch, now)
-
-            elif kind == _DONE:
-                resolution, items = payload
-                with self._scope("backbone-execute"):
-                    predictions = self._execute(resolution, items)
-                batch_size = len(items)
-                for item, prediction in zip(items, predictions):
-                    request = item.request
-                    records.append(
-                        request.request_id,
-                        request.key,
-                        request.arrival_time,
-                        item.ready_time,
-                        item.dispatch_time,
-                        now,
-                        resolution,
-                        item.scans_read,
-                        item.bytes_from_store,
-                        item.bytes_from_cache,
-                        item.total_bytes,
-                        batch_size,
-                        int(prediction),
-                        self.store.metadata(request.key).label,
-                    )
+            if not prefetch_noop:
+                # The idle gap since the previous arrival is the
+                # prefetcher's window: planned top-ups land before this
+                # arrival is served.
+                idle_s = now - last_arrival_time
+                last_arrival_time = now
+                actions = self.prefetch.plan(now, idle_s, self)
+                if actions:
+                    self._timed("prefetch", self._execute_prefetch, actions, now)
+            if needs_depth:
+                queue_depth = batcher.queue_depth + sum(
+                    len(items) for _, items in dispatch_queue
+                )
+            else:
+                queue_depth = 0
+            if emit_on:
+                self._emit(RequestArrived(time=now, request=request, queue_depth=queue_depth))
+            if not admission_noop:
+                decision = self.admission.admit(request, now, queue_depth)
+                if not decision.admitted:
+                    dropped.append((request, decision.reason))
                     if emit_on:
-                        self._emit(RequestCompleted(time=now, record=records[-1]))
-                    if clients is not None and request.client_id is not None:
-                        follow_up = clients.next_request(request.client_id, now)
+                        self._emit(
+                            RequestDropped(
+                                time=now,
+                                request=request,
+                                reason=decision.reason,
+                                queue_depth=queue_depth,
+                            )
+                        )
+                    # A dropped closed-loop request still answers its
+                    # client (with a rejection), so the client thinks
+                    # and retries.
+                    if clients is not None and client_id is not None:
+                        follow_up = clients.next_request(client_id, now)
                         if follow_up is not None:
                             push(follow_up.arrival_time, _ARRIVAL, follow_up)
-                free_workers += 1
-                if dispatch_queue:
-                    queued_resolution, queued_items = dispatch_queue.popleft()
-                    start_batch(queued_resolution, queued_items, now)
+                    continue
+            if observe_depth is not None:
+                observe_depth(queue_depth)
+            in_flight = ingest(request_id, key, now, client_id, request)
+            if emit_on:
+                self._emit(
+                    RequestAdmitted(
+                        time=now,
+                        request=request,
+                        resolution=in_flight.resolution,
+                        scans_read=in_flight.scans_read,
+                        bytes_from_store=in_flight.bytes_from_store,
+                        bytes_from_cache=in_flight.bytes_from_cache,
+                        ready_time=in_flight.ready_time,
+                    )
+                )
+            push(in_flight.ready_time, _ENQUEUE, in_flight)
 
+        records.extend_rows(rows)
         if profiler is not None:
             profiler.completed_requests += len(records)
             profiler.stop_run(sim_seconds=now)

@@ -30,13 +30,13 @@ wired through the ``serving.arrivals`` config section (``trace_path``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.api.registry import ARRIVALS
+from repro.api.schema import is_finite
 from repro.serving.arrivals import ArrivalProcess, Request
 from repro.serving.traces import TraceRecord, load_trace
 
@@ -147,7 +147,7 @@ class TraceReplayArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if (self.trace_path is None) == (self.records is None):
             raise ValueError("provide exactly one of trace_path or records")
-        if not (math.isfinite(self.speedup) and self.speedup > 0):
+        if not (is_finite(self.speedup) and self.speedup > 0):
             raise ValueError("speedup must be a finite positive number")
         if self.mode not in REPLAY_MODES:
             raise ValueError(

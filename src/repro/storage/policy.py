@@ -31,7 +31,9 @@ class ScanReadPolicy:
         to reading everything.
     cache:
         Optional per-(image key, resolution) cache of scan decisions so a
-        serving loop does not recompute SSIM for repeated requests.
+        serving loop does not recompute SSIM for repeated requests.  Each
+        count is kept with the encoded object it was computed from, so a
+        key whose object has since been replaced is computed again.
     """
 
     ssim_thresholds: dict[int, float] = field(default_factory=dict)
@@ -57,8 +59,10 @@ class ScanReadPolicy:
         threshold = self.ssim_thresholds.get(resolution)
         if threshold is None or threshold >= 1.0:
             return encoded.num_scans
-        if key is not None and (key, resolution) in self.cache:
-            return self.cache[(key, resolution)]
+        if key is not None:
+            cached = self.cache.get((key, resolution))
+            if cached is not None and cached[0] is encoded:
+                return cached[1]
 
         reference = resize(
             encoded.decode(encoded.num_scans), (resolution, resolution), method="bilinear"
@@ -72,7 +76,7 @@ class ScanReadPolicy:
                 chosen = num_scans
                 break
         if key is not None:
-            self.cache[(key, resolution)] = chosen
+            self.cache[(key, resolution)] = (encoded, chosen)
         return chosen
 
     def expected_relative_read(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -26,7 +27,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.cli import main
-from repro.api.config import EngineConfig
+from repro.api.config import ArrivalsConfig, EngineConfig
+from repro.serving.traces import TraceRecord
+from repro.serving.workload import TraceReplayArrivals
 
 CONFIG_DIR = Path(__file__).resolve().parents[2] / "examples" / "configs"
 CONFIGS = {
@@ -148,7 +151,28 @@ PROBES = [
         "sweep.grid.serving.num_workers",
     ),
     ("serving.cache", [1, 2], "serving.cache"),
+    # Numbers no float can hold (JSON carries 10**400 as an int) crashed
+    # mid-run with an OverflowError; an infinite wait ran and reported
+    # `duration inf s`.
+    ("serving.max_wait_s", 10**400, "serving.max_wait_s"),
+    ("serving.max_wait_s", math.inf, "serving.max_wait_s"),
+    ("serving.scale_model_seconds", 10**400, "serving.scale_model_seconds"),
+    ("serving.scale_model_seconds", math.inf, "serving.scale_model_seconds"),
+    ("serving.arrivals.speedup", 10**400, "serving.arrivals.speedup"),
+    ("serving.arrivals.options.on_rate_rps", 10**400, "arrivals.options.on_rate_rps"),
 ]
+
+
+def _probe_id(path: str, value, names: str) -> str:
+    """The probed path; a probe of an out-of-range number also names it."""
+    if isinstance(value, float) and math.isinf(value):
+        return f"{path}=inf"
+    if isinstance(value, int) and value == 10**400:
+        return f"{path}=10**400"
+    return path
+
+
+PROBE_IDS = [_probe_id(*probe) for probe in PROBES]
 
 
 def _bursty_with(path: str, value) -> dict:
@@ -161,7 +185,7 @@ def _bursty_with(path: str, value) -> dict:
     return data
 
 
-@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
+@pytest.mark.parametrize("path, value, names", PROBES, ids=PROBE_IDS)
 def test_probed_input_fails_at_load_naming_the_field(path, value, names):
     with pytest.raises(ValueError) as error:
         EngineConfig.from_dict(_bursty_with(path, value))
@@ -178,7 +202,7 @@ def _assert_serve_fails_cleanly(data: dict, names: str, tmp_path, capsys) -> Non
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
 
 
-@pytest.mark.parametrize("path, value, names", PROBES, ids=[probe[0] for probe in PROBES])
+@pytest.mark.parametrize("path, value, names", PROBES, ids=PROBE_IDS)
 def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, capsys):
     _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)
 
@@ -190,6 +214,24 @@ def test_an_infinite_speedup_fails_at_load_naming_the_field(tmp_path, capsys):
     with pytest.raises(ValueError, match="arrivals.speedup"):
         EngineConfig.from_dict(data)
     _assert_serve_fails_cleanly(data, "arrivals.speedup", tmp_path, capsys)
+
+
+def test_a_replay_speedup_beyond_the_float_range_fails_cleanly(tmp_path, capsys):
+    data = copy.deepcopy(CONFIGS["serving_replay"])
+    data["serving"]["arrivals"]["speedup"] = 10**400
+    _assert_serve_fails_cleanly(data, "serving.arrivals.speedup", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", [10**400, math.inf, math.nan], ids=["10**400", "inf", "nan"])
+def test_directly_built_rate_and_speedup_checks_refuse_non_finite_numbers(value):
+    # Built without the schema reader, the checks themselves must not raise
+    # OverflowError on an int beyond the float range.
+    with pytest.raises(ValueError, match="arrivals.speedup"):
+        ArrivalsConfig(name="replay", trace_path="trace.jsonl", speedup=value)
+    with pytest.raises(ValueError, match="arrivals.options.rate_rps"):
+        ArrivalsConfig(options={"rate_rps": value})
+    with pytest.raises(ValueError, match="speedup"):
+        TraceReplayArrivals(records=(TraceRecord(timestamp=0.0, key="k"),), speedup=value)
 
 
 def test_a_nan_fault_time_fails_at_build_naming_the_field(tmp_path, capsys):

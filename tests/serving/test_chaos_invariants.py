@@ -38,7 +38,7 @@ from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
 from repro.serving.elastic import FLEET_DOWN, Topology
 from repro.serving.events import ShardAdded, ShardCrashed, ShardRecovered, ShardRemoved
-from repro.serving.faults import CrashSchedule, DegradedStorage, RandomCrashes
+from repro.serving.faults import CrashSchedule, DegradedStorage, FaultEvent, RandomCrashes
 from repro.serving.fleet import ConsistentHashRouter, ShardedFleet
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.storage.policy import ScanReadPolicy
@@ -458,3 +458,14 @@ def test_fault_times_must_be_finite(build, names, value) -> None:
     no time: each fails, naming the field."""
     with pytest.raises(ValueError, match=rf"^{re.escape(names)} must be a finite "):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "value", [_NAN, _INF, -_INF, 10**400], ids=["nan", "inf", "-inf", "int-beyond-float"]
+)
+def test_a_directly_built_fault_event_needs_a_finite_time(value) -> None:
+    """No injector emits such a time, but a schedule built by hand could:
+    a NaN edge would sort nowhere and never fire."""
+    with pytest.raises(ValueError, match=r"^fault time must be a finite "):
+        FaultEvent(time=value, kind="crash", shard_id=0)
+    assert FaultEvent(time=0, kind="crash", shard_id=0).time == 0

@@ -19,6 +19,7 @@ from repro.serving.metrics import (
     ServedRequest,
     build_report,
 )
+from repro.serving.server import _RECORD_BUFFER_ROWS
 from repro.storage.bandwidth import StorageBandwidthModel
 
 BANDWIDTH = StorageBandwidthModel()
@@ -221,3 +222,73 @@ class TestColumnarEquivalence:
         assert RequestRecords.from_served([record])[0].label == 0
         unlabelled = make_record(1, label=None)
         assert RequestRecords.from_served([unlabelled])[0].label is None
+
+
+def random_rows(count: int, seed: int) -> list[tuple]:
+    """``count`` completions as rows in ServedRequest field order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(count):
+        arrival = float(rng.uniform(0.0, 10.0))
+        label = None if rng.random() < 0.3 else int(rng.integers(0, 4))
+        rows.append(
+            (
+                int(rng.integers(0, 10**9)),
+                f"img{int(rng.integers(0, 12))}",
+                arrival,
+                arrival + float(rng.uniform(0.0, 0.01)),
+                arrival + float(rng.uniform(0.01, 0.02)),
+                arrival + float(rng.uniform(0.02, 0.05)),
+                int(rng.choice([24, 32, 48])),
+                int(rng.integers(1, 10)),
+                int(rng.integers(0, 10**6)),
+                int(rng.integers(0, 10**6)),
+                int(rng.integers(10**6, 2 * 10**6)),
+                int(rng.integers(1, 5)),
+                int(rng.integers(0, 4)),
+                label,
+            )
+        )
+    return rows
+
+
+def columns_of(records: RequestRecords) -> dict:
+    return {name: list(getattr(records, name)) for name in RequestRecords.__slots__}
+
+
+class TestExtendRows:
+    """``extend_rows`` is ``append`` per row, a buffer at a time."""
+
+    N = _RECORD_BUFFER_ROWS
+
+    @pytest.mark.parametrize("count", [0, 1, N - 1, N, N + 1, 3 * N + 5])
+    def test_equals_per_row_append(self, count):
+        rows = random_rows(count, seed=count)
+        appended = RequestRecords()
+        for row in rows:
+            appended.append(*row)
+        extended = RequestRecords()
+        extended.extend_rows(rows)
+        assert columns_of(extended) == columns_of(appended)
+        # As the server feeds it: one buffer of at most N rows at a time.
+        buffered = RequestRecords()
+        for start in range(0, count, self.N):
+            buffered.extend_rows(rows[start : start + self.N])
+        assert columns_of(buffered) == columns_of(appended)
+        assert [record.label for record in extended.materialize()] == [
+            row[-1] for row in rows
+        ]
+
+    def test_none_labels_are_stored_as_the_sentinel(self):
+        rows = [row[:-1] + (label,) for row, label in zip(random_rows(3, 1), (None, 0, 2))]
+        records = RequestRecords()
+        records.extend_rows(rows)
+        assert list(records.labels) == [-1, 0, 2]
+        assert [ServedRequest(*row) for row in rows] == records.materialize()
+
+    def test_appends_after_existing_records(self):
+        rows = random_rows(7, seed=3)
+        records = RequestRecords.from_served([make_record(0)])
+        records.extend_rows(rows)
+        assert records[0] == make_record(0)
+        assert records.materialize()[1:] == [ServedRequest(*row) for row in rows]

@@ -7,7 +7,9 @@ identical SLO reports, and the scan-prefix cache must demonstrably cut the
 bytes read from the store on the same trace.
 """
 
+import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +34,13 @@ from repro.serving import (
     ScanCache,
     ServerConfig,
 )
+from repro.serving import server as server_module
+from repro.serving.arrivals import Request
 from repro.serving.batcher import LinearBatchCost
-from repro.serving.events import ServerEvent, ServerObserver
+from repro.serving.control import AdmissionDecision, AdmissionPolicy
+from repro.serving.events import RequestCompleted, ServerEvent, ServerObserver
 from repro.serving.metrics import RequestRecords
+from repro.serving.server import _RECORD_BUFFER_ROWS
 from repro.serving.workload import ArrivalStream
 from repro.storage.bandwidth import StorageBandwidthModel
 from repro.storage.policy import ScanReadPolicy
@@ -581,3 +587,166 @@ class TestReadPlans:
         fresh.run(trace)
         assert record_columns(swapped.last_records) == record_columns(fresh.last_records)
         assert fast["ready_times"] != record_columns(fresh.last_records)["ready_times"]
+
+
+# ---------------------------------------------------------------------------
+# The lean per-request path: elided runs against observed ones
+# ---------------------------------------------------------------------------
+
+
+class _DropSome(AdmissionPolicy):
+    """Drops every fourth request id and any arrival that finds a deep queue.
+
+    It does not override ``on_event``, so an unobserved run still elides
+    its events while the policy takes a ``Request`` per arrival.
+    """
+
+    def admit(self, request, now, queue_depth):
+        if request.request_id % 4 == 3:
+            return AdmissionDecision.drop("every-fourth")
+        if queue_depth > 6:
+            return AdmissionDecision.drop("queue-depth")
+        return AdmissionDecision.admit()
+
+
+def serve_once(store, backbone, read_policy, feed, cache, policy_name, drops, seed, observed):
+    """One fresh server's run: the server, its report, the records its
+    ``RequestCompleted`` events carried, and the ``Request`` objects the
+    loop itself built."""
+    built = []
+
+    def counting_request(*args, **kwargs):
+        built.append(Request(*args, **kwargs))
+        return built[-1]
+
+    recorder = _Recorder()
+    server = InferenceServer(
+        store,
+        backbone,
+        plan_policy(policy_name),
+        make_config(),
+        read_policy=read_policy,
+        cache=ScanCache(capacity_bytes=60_000) if cache else None,
+        admission=_DropSome() if drops else None,
+        observers=[recorder] if observed else (),
+    )
+    keys = store.keys()
+    with mock.patch.object(server_module, "Request", counting_request):
+        if feed == "closed-loop":
+            clients = ClosedLoopClients(
+                num_clients=4,
+                think_time_s=0.002,
+                requests_per_client=5,
+                seed=seed,
+                zipf_alpha=1.0,
+            )
+            report = server.run_closed_loop(clients, keys)
+        else:
+            stream = PoissonArrivals(rate_rps=3000.0, seed=seed, zipf_alpha=1.0).stream(keys, 24)
+            report = server.run(stream if feed == "stream" else list(stream))
+    completed = [e.record for e in recorder.events if isinstance(e, RequestCompleted)]
+    return server, report, completed, built
+
+
+class TestLeanPath:
+    """Eliding events, ``Request`` objects and record appends changes nothing.
+
+    A run with no active observer builds no ``Request`` for a cursor-fed
+    arrival (unless an admission policy takes one), carries the arrival's
+    identity in the in-flight record, and buffers its completions as rows.
+    The same run observed by a recorder builds every object; both must
+    record, drop and report the same thing.
+    """
+
+    @pytest.mark.parametrize(
+        "feed, cache, policy_name, drops",
+        list(
+            itertools.product(
+                ["stream", "requests", "closed-loop"],
+                [False, True],
+                ["static-48", "dynamic", "adaptive-dynamic"],
+                [False, True],
+            )
+        ),
+    )
+    @settings(max_examples=2, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_elided_and_observed_runs_agree(
+        self, serving_store, backbone, read_policy, feed, cache, policy_name, drops, seed
+    ):
+        args = (serving_store, backbone, read_policy, feed, cache, policy_name, drops, seed)
+        elided, elided_report, _, elided_built = serve_once(*args, observed=False)
+        observed, observed_report, completed, observed_built = serve_once(*args, observed=True)
+        assert record_columns(elided.last_records) == record_columns(observed.last_records)
+        assert elided.last_dropped == observed.last_dropped
+        assert elided_report.to_json() == observed_report.to_json()
+        # The k-th RequestCompleted carries the k-th record.
+        assert completed == observed.last_records.materialize()
+        if drops:
+            assert elided.last_dropped
+        # Only the cursor builds Requests: one per arrival when something
+        # takes them (events, a real admission policy), else none.
+        if feed == "stream":
+            assert len(observed_built) == 24
+            assert len(elided_built) == (24 if drops else 0)
+        else:
+            assert elided_built == observed_built == []
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_each_completion_answers_the_client_that_sent_it(
+        self, serving_store, backbone, read_policy, observed
+    ):
+        """A closed-loop client has one request in flight: its next arrival
+        follows its own previous completion, whichever client finishes first."""
+        clients = ClosedLoopClients(
+            num_clients=6, think_time_s=0.001, requests_per_client=8, seed=4, zipf_alpha=1.0
+        )
+        issued = []
+        next_request = clients.next_request
+
+        def recording_next_request(client_id, completion_time):
+            follow_up = next_request(client_id, completion_time)
+            if follow_up is not None:
+                issued.append(follow_up)
+            return follow_up
+
+        clients.next_request = recording_next_request
+        server = InferenceServer(
+            serving_store,
+            backbone,
+            make_dynamic_policy(),
+            make_config(num_workers=2),
+            read_policy=read_policy,
+            observers=[_Recorder()] if observed else (),
+        )
+        report = server.run_closed_loop(clients, serving_store.keys())
+        assert report.num_requests == clients.total_requests
+        completed = {r.request_id: r.completion_time for r in server.last_served}
+        # start() replays the same first round, so it names the first requests.
+        requests = clients.start(serving_store.keys()) + issued
+        for client in range(clients.num_clients):
+            own = sorted(
+                (r for r in requests if r.client_id == client), key=lambda r: r.arrival_time
+            )
+            assert len(own) == clients.requests_per_client
+            for previous, current in zip(own, own[1:]):
+                assert current.arrival_time >= completed[previous.request_id]
+
+    def test_a_run_longer_than_the_record_buffer_folds_every_completion(
+        self, serving_store, backbone, read_policy
+    ):
+        count = 2 * _RECORD_BUFFER_ROWS + 7
+        keys = serving_store.keys()
+        stream = PoissonArrivals(rate_rps=2000.0, seed=3, zipf_alpha=1.0).stream(keys, count)
+        server = InferenceServer(
+            serving_store,
+            backbone,
+            StaticResolutionPolicy(24),
+            make_config(max_batch_size=1, num_workers=4),
+            read_policy=read_policy,
+        )
+        report = server.run(stream)
+        assert report.num_requests == count == len(server.last_records)
+        assert sorted(server.last_records.request_ids) == list(range(count))
+        by_id = dict(zip(server.last_records.request_ids, server.last_records.keys))
+        assert [by_id[i] for i in range(count)] == stream.keys

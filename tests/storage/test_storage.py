@@ -138,6 +138,21 @@ class TestScanReadPolicy:
         assert ("k", 64) in policy.cache
         assert policy.scans_for(encoded_image, 64, key="k") == first
 
+    def test_a_replaced_object_gets_its_own_scan_count(self):
+        """A smooth ramp meets the threshold in fewer scans than noise: once
+        the key holds the noise, a reused policy must count again."""
+        ramp = np.tile(np.linspace(0.0, 1.0, 64), (64, 1))[..., None].repeat(3, axis=2)
+        noise = np.random.default_rng(0).random((64, 64, 3))
+        store = ImageStore(encoder=ProgressiveEncoder(quality=85))
+        policy = ScanReadPolicy(ssim_thresholds={32: 0.92})
+        store.put("k", ramp)
+        smooth = policy.scans_for(store.metadata("k").encoded, 32, key="k")
+        store.put("k", noise)
+        replaced = store.metadata("k").encoded
+        fresh = ScanReadPolicy(ssim_thresholds={32: 0.92}).scans_for(replaced, 32, key="k")
+        assert fresh > smooth
+        assert policy.scans_for(replaced, 32, key="k") == fresh
+
     def test_expected_relative_read(self, encoded_image):
         policy = ScanReadPolicy(ssim_thresholds={64: 0.9})
         value = policy.expected_relative_read([encoded_image], 64)
