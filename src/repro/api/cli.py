@@ -51,10 +51,10 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.api import components  # noqa: F401  (populates the registries)
-from repro.api.config import load_config
+from repro.api.config import Direction, load_config
 from repro.api.engine import Engine
 from repro.api.registry import all_registries
 from repro.analysis.report import format_table
@@ -82,7 +82,7 @@ def _parse_objective(text: str):
 
     column, _, direction = text.partition("=")
     try:
-        return Objective(column, direction or "min")
+        return Objective(column, cast(Direction, direction or "min"))
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
 

@@ -8,26 +8,45 @@ Every config class supports ``to_dict()`` / ``from_dict()`` and JSON
 round-trips: ``EngineConfig.from_dict(config.to_dict()) == config`` and
 ``EngineConfig.from_json(config.to_json()) == config``.  Both directions
 go through :mod:`repro.api.schema`, which reads each section field by
-field from its annotations: a wrong type, an unknown key or a missing
-required field raises :class:`ValueError` naming the dotted field
-(``serving.num_workers``), so a bad config file fails at load time, not
-mid-run.  The annotations are the schema; ``__post_init__`` holds only
-the range and cross-field checks the types cannot state.
+field from its annotations: a wrong type, an unknown key, a missing
+required field or a value outside the range its annotation declares
+(``max_wait_s: NonNegative``) raises :class:`ValueError` naming the dotted
+field (``serving.max_wait_s``), so a bad config file fails at load time,
+not mid-run.  A directly built section checks the same annotations, and
+``__post_init__`` holds only the cross-field rules they cannot state.
 
-Component *names* (backbone, arrivals, cache, ...) are validated against
-the registries by the engine at build time, where the registries are
-guaranteed to be populated; configs validate everything that can be checked
-without imports — positivity, ranges, and cross-field consistency such as
-unknown resolutions.
+Component *names* are resolved at build time, except that the arrivals,
+popularity, admission, prefetch and autoscale sections resolve theirs at
+load (importing the components) to read their ``options`` through the
+component's own annotations; an unregistered name, an unknown option and
+every other section's options fail when the engine builds the component.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
-from typing import Any, TypeVar
+from functools import partial
+from typing import Annotated, Any, Literal, TypeVar
 
-from repro.api.schema import decode, encode, is_finite
+from repro.api.schema import (
+    Amplitude,
+    Finite,
+    Fraction,
+    Name,
+    NonEmpty,
+    NonNegative,
+    NonNegativeInt,
+    Options,
+    Positive,
+    PositiveInt,
+    Range,
+    Resolutions,
+    check,
+    decode,
+    encode,
+)
 
 _Config = TypeVar("_Config", bound="_DictMixin")
 
@@ -37,8 +56,36 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _component(registry: str, name: str) -> Any:
+    """The component registered as ``name``, or None; options are read through it."""
+    from repro.api import components  # noqa: F401  (populates the registries)
+    from repro.api.registry import all_registries
+
+    entries = all_registries()[registry]
+    return entries.get(name) if name in entries else None
+
+
+_ArrivalOptions = Annotated[dict, Options(partial(_component, "arrivals"))]
+_PopularityOptions = Annotated[dict, Options(partial(_component, "popularity"))]
+_AdmissionOptions = Annotated[dict, Options(partial(_component, "admission-policies"))]
+_PrefetchOptions = Annotated[dict, Options(partial(_component, "prefetch-policies"))]
+_AutoscaleOptions = Annotated[dict, Options(partial(_component, "autoscale-policies"))]
+
+#: A sweep axis: the values one dotted path takes.
+_GridValues = Annotated[list, NonEmpty]
+
+#: Which way an objective's column wins.
+Direction = Literal["min", "max"]
+
+
 class _DictMixin:
-    """Shared ``to_dict``/``from_dict``/JSON plumbing for every config class."""
+    """Shared ``to_dict``/``from_dict``/JSON plumbing for every config class,
+    and its constraint check, which names fields by the section's name
+    (``BatchCostConfig`` checks ``batch_cost.kernel_source``)."""
+
+    def __post_init__(self) -> None:
+        section = type(self).__name__.removesuffix("Config")
+        check(self, re.sub(r"(?<!^)(?=[A-Z])", "_", section).lower())
 
     def to_dict(self) -> dict:
         return encode(self)
@@ -69,13 +116,14 @@ class StoreConfig(_DictMixin):
     fast demo without defining whole new presets.
     """
 
-    profile: str = "imagenet-like"
+    profile: Name = "imagenet-like"
     overrides: dict = field(default_factory=dict)
-    num_images: int = 16
+    num_images: PositiveInt = 16
     seed: int = 0
-    quality: int | None = None
+    quality: Annotated[int, Range(ge=1, le=100)] | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         from repro.data.profiles import DatasetProfile
 
         known = {f.name for f in fields(DatasetProfile)}
@@ -85,37 +133,22 @@ class StoreConfig(_DictMixin):
             f"unknown store.overrides field(s): {', '.join(unknown)}; "
             f"DatasetProfile fields are: {', '.join(sorted(known))}",
         )
-        _require(self.num_images > 0, "store.num_images must be positive")
-        _require(
-            self.quality is None or 1 <= self.quality <= 100,
-            "store.quality must be in [1, 100]",
-        )
 
 
 @dataclass(frozen=True)
 class BackboneConfig(_DictMixin):
     """A model by registry name plus factory keyword arguments."""
 
-    name: str = "resnet-tiny"
+    name: Name = "resnet-tiny"
     options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "backbone.name must be non-empty")
 
 
 @dataclass(frozen=True)
 class AdaptiveConfig(_DictMixin):
     """Load-adaptive degradation wrapped around the per-image policy."""
 
-    queue_threshold: int = 8
-    max_degradation_steps: int | None = None
-
-    def __post_init__(self) -> None:
-        _require(self.queue_threshold > 0, "adaptive.queue_threshold must be positive")
-        _require(
-            self.max_degradation_steps is None or self.max_degradation_steps >= 0,
-            "adaptive.max_degradation_steps must be non-negative",
-        )
+    queue_threshold: PositiveInt = 8
+    max_degradation_steps: NonNegativeInt | None = None
 
 
 @dataclass(frozen=True)
@@ -128,21 +161,13 @@ class PolicyConfig(_DictMixin):
     resolutions.
     """
 
-    name: str = "static"
-    resolution: int | None = None
+    name: Name = "static"
+    resolution: PositiveInt | None = None
     scale_model: BackboneConfig = field(
         default_factory=lambda: BackboneConfig(name="mobilenet-tiny")
     )
-    tie_tolerance: float = 0.02
+    tie_tolerance: NonNegative = 0.02
     adaptive: AdaptiveConfig | None = None
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "policy.name must be non-empty")
-        _require(
-            self.resolution is None or self.resolution > 0,
-            "policy.resolution must be positive",
-        )
-        _require(self.tie_tolerance >= 0, "policy.tie_tolerance must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -156,18 +181,10 @@ class DiurnalConfig(_DictMixin):
     period (empty = flat).
     """
 
-    period_s: float = 86_400.0
-    amplitude: float = 0.5
-    phase: float = 0.0
-    envelope: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        _require(self.period_s > 0, "diurnal.period_s must be positive")
-        _require(0.0 <= self.amplitude < 1.0, "diurnal.amplitude must be in [0, 1)")
-        _require(
-            all(value > 0 for value in self.envelope),
-            "diurnal.envelope multipliers must be positive numbers",
-        )
+    period_s: Positive = 86_400.0
+    amplitude: Amplitude = 0.5
+    phase: Finite = 0.0
+    envelope: tuple[Positive, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -180,18 +197,8 @@ class PopularityConfig(_DictMixin):
     "options": {"dataset": "web-proxy-breslau99"}}``).
     """
 
-    name: str = "zipf"
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "popularity.name must be non-empty")
-        if self.name in ("zipf", "zipf-mandelbrot"):
-            for option in ("alpha", "shift"):
-                value = self.options.get(option)
-                _require(
-                    value is None or (isinstance(value, (int, float)) and value >= 0),
-                    f"popularity.options.{option} must be a non-negative number",
-                )
+    name: Name = "zipf"
+    options: _PopularityOptions = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -207,29 +214,19 @@ class ArrivalsConfig(_DictMixin):
       synthetic processes (replay traces carry their own keys).
     """
 
-    name: str = "poisson"
-    options: dict = field(default_factory=dict)
+    name: Name = "poisson"
+    options: _ArrivalOptions = field(default_factory=dict)
     trace_path: str | None = None
-    speedup: float = 1.0
+    speedup: Positive = 1.0
     diurnal: DiurnalConfig | None = None
     popularity: PopularityConfig | None = None
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "arrivals.name must be non-empty")
+        super().__post_init__()
         _require(
             self.name != "diurnal",
             "diurnal modulation wraps a base process: set arrivals.name to the "
             "base (e.g. 'poisson') and add an arrivals.diurnal section",
-        )
-        for option in ("rate_rps", "on_rate_rps", "num_clients"):
-            value = self.options.get(option)
-            _require(
-                value is None or (is_finite(value) and value > 0),
-                f"arrivals.options.{option} must be a finite positive number",
-            )
-        _require(
-            is_finite(self.speedup) and self.speedup > 0,
-            "arrivals.speedup must be a finite positive number",
         )
         if self.name == "replay":
             _require(
@@ -269,12 +266,8 @@ class ArrivalsConfig(_DictMixin):
 class CacheConfig(_DictMixin):
     """Cache tier by registry name plus its byte capacity."""
 
-    name: str = "scan-lru"
-    capacity_bytes: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "cache.name must be non-empty")
-        _require(self.capacity_bytes > 0, "cache.capacity_bytes must be positive")
+    name: Name = "scan-lru"
+    capacity_bytes: PositiveInt = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -282,33 +275,14 @@ class AdmissionConfig(_DictMixin):
     """Admission control by registry name plus policy keyword arguments.
 
     The default (section absent) is the no-op ``always-admit`` policy, which
-    reproduces the pre-control-plane server byte-for-byte.  Option checks
-    are gated on the policy *name*: custom registered policies own their
-    option semantics (their constructors validate at build time), so a
-    custom option that happens to be called ``alpha`` is not constrained
-    by the built-in controller's range.
+    reproduces the pre-control-plane server byte-for-byte.  Options are
+    checked against the annotations of the policy the *name* selects, so a
+    custom registered policy's option that happens to be called ``alpha``
+    is held to that policy's own range, not the built-in controller's.
     """
 
-    name: str = "always-admit"
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "admission.name must be non-empty")
-        if self.name != "ewma":
-            return
-        for option in ("alpha", "latency_alpha"):
-            value = self.options.get(option)
-            _require(
-                value is None
-                or (isinstance(value, (int, float)) and 0.0 < value <= 1.0),
-                f"admission.options.{option} must be in (0, 1]",
-            )
-        for option in ("depth_threshold", "deadline_s"):
-            value = self.options.get(option)
-            _require(
-                value is None or (isinstance(value, (int, float)) and value > 0),
-                f"admission.options.{option} must be a positive number",
-            )
+    name: Name = "always-admit"
+    options: _AdmissionOptions = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -316,46 +290,22 @@ class PrefetchConfig(_DictMixin):
     """Cache prefetching by registry name plus policy keyword arguments.
 
     The default (section absent) is the no-op ``none`` policy: the cache
-    tier stays purely demand-fill.  As with admission, option checks are
-    gated on the policy name — custom policies validate their own options
-    at build time.
+    tier stays purely demand-fill.  As with admission, options are checked
+    against the annotations of the policy the name selects.
     """
 
-    name: str = "none"
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "prefetch.name must be non-empty")
-        if self.name != "next-scan":
-            return
-        threshold = self.options.get("idle_threshold_s")
-        _require(
-            threshold is None
-            or (isinstance(threshold, (int, float)) and threshold > 0),
-            "prefetch.options.idle_threshold_s must be a positive number",
-        )
-        per_gap = self.options.get("max_keys_per_gap")
-        _require(
-            per_gap is None or (isinstance(per_gap, int) and per_gap > 0),
-            "prefetch.options.max_keys_per_gap must be a positive integer",
-        )
+    name: Name = "none"
+    options: _PrefetchOptions = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class BatchCostConfig(_DictMixin):
     """Batch execution pricing: linear (tests) or hwsim (analytical model)."""
 
-    name: str = "linear"
+    name: Name = "linear"
     machine: str = "4790K"
-    kernel_source: str = "library"
+    kernel_source: Literal["library", "tuned"] = "library"
     options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "batch_cost.name must be non-empty")
-        _require(
-            self.kernel_source in ("library", "tuned"),
-            "batch_cost.kernel_source must be 'library' or 'tuned'",
-        )
 
 
 @dataclass(frozen=True)
@@ -374,20 +324,16 @@ class ObservabilityConfig(_DictMixin):
     metrics: bool = True
     tracing: bool = True
     profiling: bool = True
-    window_s: float = 0.01
-    sample_rate: float = 1.0
+    window_s: Positive = 0.01
+    sample_rate: Fraction = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(
             self.metrics or self.tracing or self.profiling,
             "observability needs at least one of metrics/tracing/profiling "
             "enabled (drop the section to turn telemetry off)",
-        )
-        _require(self.window_s > 0, "observability.window_s must be positive")
-        _require(
-            0.0 < self.sample_rate <= 1.0,
-            "observability.sample_rate must be in (0, 1]",
         )
 
 
@@ -405,16 +351,14 @@ class AutoscaleConfig(_DictMixin):
     ``num_shards`` must lie within those bounds.
     """
 
-    name: str = "none"
-    interval_s: float = 0.05
-    min_shards: int = 1
-    max_shards: int = 16
-    options: dict = field(default_factory=dict)
+    name: Name = "none"
+    interval_s: Positive = 0.05
+    min_shards: PositiveInt = 1
+    max_shards: PositiveInt = 16
+    options: _AutoscaleOptions = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require(bool(self.name), "autoscale.name must be a non-empty string")
-        _require(self.interval_s > 0, "autoscale.interval_s must be a positive number")
-        _require(self.min_shards > 0, "autoscale.min_shards must be a positive integer")
+        super().__post_init__()
         _require(
             self.max_shards >= self.min_shards,
             "autoscale.max_shards must be an integer >= autoscale.min_shards",
@@ -430,11 +374,8 @@ class FaultConfig(_DictMixin):
     injectors; an empty list injects nothing.
     """
 
-    name: str
+    name: Name
     options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "fault.name must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -456,11 +397,11 @@ class FleetConfig(_DictMixin):
     sections at all.
     """
 
-    num_shards: int = 2
-    virtual_nodes: int = 64
+    num_shards: PositiveInt = 2
+    virtual_nodes: PositiveInt = 64
     seed: int = 0
     overrides: dict[int, dict] = field(default_factory=dict)
-    replicas: int = 1
+    replicas: PositiveInt = 1
     autoscale: AutoscaleConfig | None = None
     faults: tuple[FaultConfig, ...] = ()
 
@@ -474,8 +415,7 @@ class FleetConfig(_DictMixin):
         )
 
     def __post_init__(self) -> None:
-        for name in ("num_shards", "virtual_nodes", "replicas"):
-            _require(getattr(self, name) > 0, f"fleet.{name} must be a positive integer")
+        super().__post_init__()
         scaling = self.autoscale
         if scaling is not None and scaling.name != "none":
             _require(
@@ -520,11 +460,11 @@ class ServingConfig(_DictMixin):
     """
 
     arrivals: ArrivalsConfig = field(default_factory=ArrivalsConfig)
-    num_requests: int = 100
-    num_workers: int = 2
-    max_batch_size: int = 4
-    max_wait_s: float = 0.005
-    scale_model_seconds: float = 0.0
+    num_requests: PositiveInt = 100
+    num_workers: PositiveInt = 2
+    max_batch_size: PositiveInt = 4
+    max_wait_s: NonNegative = 0.005
+    scale_model_seconds: NonNegative = 0.0
     cache: CacheConfig | None = None
     batch_cost: BatchCostConfig = field(default_factory=BatchCostConfig)
     admission: AdmissionConfig | None = None
@@ -533,17 +473,7 @@ class ServingConfig(_DictMixin):
     observability: ObservabilityConfig | None = None
 
     def __post_init__(self) -> None:
-        _require(self.num_requests > 0, "serving.num_requests must be positive")
-        _require(self.num_workers > 0, "serving.num_workers must be positive")
-        _require(self.max_batch_size > 0, "serving.max_batch_size must be positive")
-        _require(
-            is_finite(self.max_wait_s) and self.max_wait_s >= 0,
-            "serving.max_wait_s must be a finite non-negative number",
-        )
-        _require(
-            is_finite(self.scale_model_seconds) and self.scale_model_seconds >= 0,
-            "serving.scale_model_seconds must be a finite non-negative number",
-        )
+        super().__post_init__()
         if self.fleet is None:
             return
         for shard in self.fleet.overrides:
@@ -582,15 +512,8 @@ class ObjectiveConfig(_DictMixin):
     the Pareto frontiers the analysis stage emits.
     """
 
-    column: str
-    direction: str = "min"
-
-    def __post_init__(self) -> None:
-        _require(bool(self.column), "objective.column must be non-empty")
-        _require(
-            self.direction in ("min", "max"),
-            f"objective.direction must be 'min' or 'max', got {self.direction!r}",
-        )
+    column: Name
+    direction: Direction = "min"
 
 
 @dataclass(frozen=True)
@@ -610,15 +533,11 @@ class SweepConfig(_DictMixin):
     ``SweepConfig`` is, and means "that grid with default orchestration".
     """
 
-    grid: dict[str, list] = field(default_factory=dict)
-    workers: int = 1
+    grid: dict[str, _GridValues] = field(default_factory=dict)
+    workers: PositiveInt = 1
     output_dir: str | None = None
     base_seed: int = 0
     objectives: tuple[ObjectiveConfig, ...] = ()
-
-    def __post_init__(self) -> None:
-        _require_grid_values(self.grid, "sweep.grid")
-        _require(self.workers >= 1, "sweep.workers must be >= 1")
 
     @classmethod
     def _prepare(cls, data: Any) -> Any:
@@ -630,25 +549,17 @@ class SweepConfig(_DictMixin):
         (``sweep.serving.num_workers``), not ``sweep.grid.serving.num_workers``.
         """
         if isinstance(data, dict) and data and not set(data) & {f.name for f in fields(cls)}:
-            _require_grid_values(decode(dict[str, list], data, "sweep"), "sweep")
+            decode(dict[str, _GridValues], data, "sweep")
             return {"grid": data}
         return data
-
-
-def _require_grid_values(grid: dict[str, list], path: str) -> None:
-    for key, values in grid.items():
-        _require(len(values) > 0, f"{path}.{key} must be a non-empty list of values")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig(_DictMixin):
     """A named experiment (registry name) plus builder options."""
 
-    name: str = "fig2"
+    name: Name = "fig2"
     options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "experiment.name must be non-empty")
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +581,19 @@ class EngineConfig(_DictMixin):
     still accepted as the grid-only shorthand.
     """
 
-    resolutions: tuple[int, ...] = (24, 32, 48)
+    resolutions: Resolutions = (24, 32, 48)
     scale_resolution: int | None = None
-    crop_ratio: float = 0.75
+    crop_ratio: Fraction = 0.75
     store: StoreConfig = field(default_factory=StoreConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    ssim_thresholds: dict[int, float] = field(default_factory=dict)
+    ssim_thresholds: dict[PositiveInt, Fraction] = field(default_factory=dict)
     serving: ServingConfig | None = None
     experiment: ExperimentConfig | None = None
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
     def __post_init__(self) -> None:
-        _require(bool(self.resolutions), "resolutions must be non-empty")
-        _require(
-            all(resolution > 0 for resolution in self.resolutions),
-            "resolutions must be positive",
-        )
+        check(self)
         _require(
             len(set(self.resolutions)) == len(self.resolutions),
             "resolutions must be unique",
@@ -696,7 +603,6 @@ class EngineConfig(_DictMixin):
             f"scale_resolution {self.scale_resolution} is not one of the "
             f"candidate resolutions {tuple(sorted(self.resolutions))}",
         )
-        _require(0.0 < self.crop_ratio <= 1.0, "crop_ratio must be in (0, 1]")
         _require(
             self.policy.resolution is None
             or self.policy.resolution in self.resolutions,
@@ -709,11 +615,6 @@ class EngineConfig(_DictMixin):
             f"ssim_thresholds name unknown resolution(s) {unknown}; "
             f"candidates are {tuple(sorted(self.resolutions))}",
         )
-        for resolution, threshold in self.ssim_thresholds.items():
-            _require(
-                0.0 < threshold <= 1.0,
-                f"ssim_thresholds[{resolution}] must be in (0, 1], got {threshold}",
-            )
         if isinstance(self.sweep, dict):
             # Constructor convenience mirroring from_dict: a bare grid (or a
             # plain section dict) normalizes into a SweepConfig.

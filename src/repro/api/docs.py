@@ -6,7 +6,8 @@ reference documentation is *generated* from them instead of hand-written:
 ``python -m repro docs`` walks every registry
 (:func:`~repro.api.registry.all_registries`) and emits one entry per
 component with its stable name, implementing class, docstring summary, and
-configuration knobs (constructor parameters with defaults, or preset field
+configuration knobs (constructor parameters with defaults and the range,
+choices or non-empty rule their annotations declare, or preset field
 values).  CI regenerates the file and fails when the committed
 ``docs/reference.md`` is stale, so the reference cannot rot.
 
@@ -26,6 +27,7 @@ import pkgutil
 
 from repro.api import components  # noqa: F401  (populates the registries)
 from repro.api.registry import all_registries
+from repro.api.schema import describe, parameter_hints
 
 #: Packages whose modules and public classes the docstring lint audits.
 AUDITED_PACKAGES = (
@@ -73,12 +75,12 @@ def _summary(obj: object) -> str | None:
     return " ".join(line.strip() for line in paragraph.splitlines())
 
 
-def _knob_rows(component: object) -> list[tuple[str, str]]:
-    """(knob, default) rows for one component.
+def _knob_rows(component: object) -> list[tuple[str, ...]]:
+    """(knob, default, constraint) rows for one component.
 
     Classes and factory callables contribute their constructor/call
     parameters; preset instances (machine models, dataset profiles)
-    contribute their field *values*, which is what a config would override.
+    contribute (field, *value*) rows, which is what a config would override.
     """
     if not callable(component):
         if dataclasses.is_dataclass(component):
@@ -91,7 +93,8 @@ def _knob_rows(component: object) -> list[tuple[str, str]]:
         signature = inspect.signature(component)
     except (TypeError, ValueError):
         return []
-    rows: list[tuple[str, str]] = []
+    hints = parameter_hints(component) if isinstance(component, type) else {}
+    rows: list[tuple[str, ...]] = []
     for parameter in signature.parameters.values():
         if parameter.name == "self" or parameter.kind in (
             inspect.Parameter.VAR_POSITIONAL,
@@ -103,7 +106,7 @@ def _knob_rows(component: object) -> list[tuple[str, str]]:
             if parameter.default is inspect.Parameter.empty
             else f"`{parameter.default!r}`"
         )
-        rows.append((parameter.name, default))
+        rows.append((parameter.name, default, describe(hints.get(parameter.name))))
     return rows
 
 
@@ -145,12 +148,14 @@ def generate_reference() -> str:
             if rows:
                 lines.append("")
                 header = (
-                    "| field | value |" if not callable(component) else "| knob | default |"
+                    "| field | value |"
+                    if not callable(component)
+                    else "| knob | default | constraint |"
                 )
                 lines.append(header)
-                lines.append("|---|---|")
-                for knob, default in rows:
-                    lines.append(f"| `{knob}` | {default} |")
+                lines.append("|---|---|" if not callable(component) else "|---|---|---|")
+                for knob, *cells in rows:
+                    lines.append(f"| `{knob}` | {' | '.join(cells)} |")
             lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

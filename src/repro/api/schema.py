@@ -15,6 +15,12 @@ schema.  :func:`encode` turns one into plain dicts, lists and scalars;
   without converting it (so it must be one a float can hold), and an
   ``int`` field rejects floats and booleans.
 
+Constraints are annotations too: :class:`Range` bounds a number (which
+must then be finite), ``Literal`` lists choices, :class:`NonEmpty` refuses
+an empty string or list; shared ones are named once below (``Positive``).
+:func:`check` and :func:`checked` apply them to directly built objects,
+and an :class:`Options` mapping is read through its factory's annotations.
+
 Every error is a :class:`ValueError` naming the dotted path of the
 offending value (``serving.fleet.faults[0].name``), so a bad config file
 fails at load with the field it is about.  Subclasses of :class:`Tagged`
@@ -31,12 +37,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
 import types
 import typing
-from typing import Any, Callable, ClassVar, TypeVar
+from typing import Annotated, Any, Callable, ClassVar, Literal, TypeVar
 
 T = TypeVar("T")
+_Init = TypeVar("_Init", bound=Callable[..., None])
 
 #: A decode step: ``(data, dotted path) -> value``.
 _Reader = Callable[[Any, str], Any]
@@ -66,6 +74,68 @@ def is_finite(value: Any) -> bool:
         return False
 
 
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Bounds a number must lie within; ``gt``/``lt`` exclude theirs."""
+
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+    le: float | None = None
+
+    def contains(self, value: Any) -> bool:
+        """Whether ``value`` is a finite number within the bounds."""
+        return (
+            is_finite(value)
+            and (self.gt is None or value > self.gt)
+            and (self.ge is None or value >= self.ge)
+            and (self.lt is None or value < self.lt)
+            and (self.le is None or value <= self.le)
+        )
+
+    def describe(self, base: Any) -> str:
+        """What a value must be, as errors and the reference word it."""
+        low = self.gt if self.gt is not None else self.ge
+        high = self.lt if self.lt is not None else self.le
+        if (low, high) == (0, None):
+            words = "positive" if self.gt is not None else "non-negative"
+            return words if base is int else f"a finite {words} number"
+        if (low, high) == (None, None):
+            return "a finite number"
+        opening = "(" if self.ge is None else "["
+        closing = ")" if self.le is None else "]"
+        low, high = -math.inf if low is None else low, math.inf if high is None else high
+        words = f"in {opening}{low:g}, {high:g}{closing}"
+        return words if base is int else f"a finite number {words}"
+
+
+class NonEmpty:
+    """Marks a string or list that must not be empty."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Options:
+    """Marks an ``options`` mapping as a factory's keyword arguments.
+
+    ``resolve(name)`` maps the section's ``name`` to the factory (None:
+    unregistered, left to the build, as are unknown options).
+    """
+
+    resolve: Callable[[str], Any]
+
+
+# The constraints configs share with the components they feed.
+Finite = Annotated[float, Range()]
+Positive = Annotated[float, Range(gt=0)]
+NonNegative = Annotated[float, Range(ge=0)]
+Fraction = Annotated[float, Range(gt=0, le=1)]
+Amplitude = Annotated[float, Range(ge=0, lt=1)]
+PositiveInt = Annotated[int, Range(gt=0)]
+NonNegativeInt = Annotated[int, Range(ge=0)]
+Name = Annotated[str, NonEmpty]
+Resolutions = Annotated[tuple[PositiveInt, ...], NonEmpty]
+
+
 def encode(value: Any) -> Any:
     """``value`` as plain JSON data: dataclasses become dicts, tuples lists."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -87,6 +157,60 @@ def decode(cls: type[T], data: Any, path: str = "") -> T:
     return _reader(cls)(data, path)
 
 
+def check(obj: Any, path: str = "") -> None:
+    """Check a dataclass's constrained fields as :func:`decode` would (call it
+    from ``__post_init__``); errors name the field, prefixed by ``path``."""
+    for name, read in _readers(type(obj), constrained=True).items():
+        read(getattr(obj, name), _join(path, name))
+    for name, marker in _options_fields(type(obj)):
+        _read_options(marker, obj.name, getattr(obj, name), _join(path, name))
+
+
+def checked(init: _Init) -> _Init:
+    """Check the constrained arguments a plain class's ``__init__`` is called
+    with, as :func:`check` checks fields, naming the parameter."""
+    names = tuple(inspect.signature(init).parameters)[1:]  # after self
+
+    @functools.wraps(init)
+    def checked_init(self: Any, *args: Any, **kwargs: Any) -> None:
+        values = dict(zip(names, args), **kwargs)
+        for name, read in _readers(init, constrained=True).items():
+            if name in values:
+                read(values[name], name)
+        init(self, *args, **kwargs)
+
+    return typing.cast(_Init, checked_init)
+
+
+def describe(annotation: Any) -> str:
+    """The constraint an annotation declares, in words (empty when none)."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Literal:
+        return _choices(args)
+    if origin is Annotated:
+        words = [text for _, text in _tests(args[0], annotation.__metadata__)]
+        return "; ".join(word for word in (*words, describe(args[0])) if word)
+    inner = [describe(arg) for arg in args if arg not in (type(None), Ellipsis)]
+    if origin is dict or not any(inner):
+        return ""
+    return f"{inner[0]}, or null" if type(None) in args else f"each {inner[0]}"
+
+
+def parameter_hints(factory: Any) -> dict[str, Any]:
+    """A factory's parameter annotations, constraint markers included."""
+    return _hints(_init(factory))
+
+
+def _init(factory: Any) -> Any:
+    return factory.__init__ if isinstance(factory, type) else factory
+
+
+@functools.cache
+def _hints(obj: Any) -> dict[str, Any]:
+    """``obj``'s annotations, resolved once (callers must not change them)."""
+    return typing.get_type_hints(obj, include_extras=True)
+
+
 def _join(path: str, key: Any) -> str:
     return f"{path}.{key}" if path else str(key)
 
@@ -94,6 +218,12 @@ def _join(path: str, key: Any) -> str:
 def _fail(path: str, expected: str, value: Any) -> typing.NoReturn:
     got = "null" if value is None else type(value).__name__
     raise ValueError(f"{path} must be {expected}, got {got}")
+
+
+def _shown(value: Any) -> str:
+    if isinstance(value, int) and not is_finite(value):
+        return "an integer beyond the float range"
+    return repr(value)
 
 
 def _as_is(data: Any, path: str) -> Any:
@@ -112,6 +242,10 @@ def _reader(annotation: Any) -> _Reader:
     if dataclasses.is_dataclass(annotation):
         return _section_reader(annotation)
     origin, args = typing.get_origin(annotation) or annotation, typing.get_args(annotation)
+    if origin is Annotated:
+        return _checked_reader(_reader(args[0]), _tests(args[0], annotation.__metadata__))
+    if origin is Literal:
+        return _checked_reader(_as_is, [(lambda data: data in args, _choices(args))])
     if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = _reader(args[0] if args[1] is type(None) else args[1])
         return lambda data, path: None if data is None else inner(data, path)
@@ -126,6 +260,34 @@ def _reader(annotation: Any) -> _Reader:
     raise TypeError(f"the config/report codec cannot read annotation {annotation!r}")
 
 
+def _tests(base: Any, markers: tuple) -> list[tuple[Callable[[Any], bool], str]]:
+    """``(test, what a value must be)`` per constraint marker on ``base``."""
+    return [
+        (marker.contains, marker.describe(base))
+        if isinstance(marker, Range)
+        else (bool, "a non-empty string" if base is str else "a non-empty list")
+        for marker in markers
+        if isinstance(marker, Range) or marker is NonEmpty
+    ]
+
+
+def _choices(choices: tuple) -> str:
+    return "one of " + ", ".join(repr(choice) for choice in choices)
+
+
+def _checked_reader(read: _Reader, tests: list) -> _Reader:
+    """``read``, then each ``(test, what the value must be)`` on the value."""
+
+    def read_checked(data: Any, path: str) -> Any:
+        value = read(data, path)
+        for test, expected in tests:
+            if not test(value):
+                raise ValueError(f"{path} must be {expected}, got {_shown(value)}")
+        return value
+
+    return read_checked
+
+
 def _scalar_reader(annotation: type) -> _Reader:
     accepted = (int, float) if annotation is float else annotation
 
@@ -135,7 +297,7 @@ def _scalar_reader(annotation: type) -> _Reader:
             _fail(path, _SCALARS[annotation], data)
         if annotation is float and isinstance(data, int) and not is_finite(data):
             raise ValueError(
-                f"{path} must be a number within the float range, got an integer beyond it"
+                f"{path} must be a finite number, got an integer beyond the float range"
             )
         return data
 
@@ -157,7 +319,8 @@ def _dict_reader(key_type: type, value_type: Any) -> _Reader:
     def read_dict(data: Any, path: str) -> dict:
         decoded: dict = {}
         for key, value in _read_mapping(data, path).items():
-            if key_type is int and isinstance(key, str):  # JSON keys are strings
+            if int in (key_type, *typing.get_args(key_type)[:1]) and isinstance(key, str):
+                # JSON keys are strings
                 with contextlib.suppress(ValueError):
                     key = int(key)
             decoded[read_key(key, f"{path} key {key!r}")] = read_value(
@@ -169,9 +332,11 @@ def _dict_reader(key_type: type, value_type: Any) -> _Reader:
 
 
 def _section_reader(cls: type) -> _Reader:
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     fields = dataclasses.fields(cls)
     readers = {field.name: _reader(hints[field.name]) for field in fields}
+    options = _options_fields(cls)
+    default_name = next((field.default for field in fields if field.name == "name"), None)
     required = [
         field.name
         for field in fields
@@ -182,6 +347,8 @@ def _section_reader(cls: type) -> _Reader:
     kind = cls.kind if issubclass(cls, Tagged) else None
 
     def read_section(data: Any, path: str) -> Any:
+        if isinstance(data, cls):  # already built, so already checked
+            return data
         if prepare is not None:
             data = prepare(data)
         if not isinstance(data, dict):
@@ -205,8 +372,57 @@ def _section_reader(cls: type) -> _Reader:
             raise ValueError(
                 f"missing required {cls.__name__} field(s): {', '.join(missing)}"
             )
-        return cls(
-            **{name: readers[name](value, _join(path, name)) for name, value in data.items()}
-        )
+        values = {key: readers[key](value, _join(path, key)) for key, value in data.items()}
+        for key, marker in options:
+            if key in values:
+                section_name = values.get("name", default_name)
+                _read_options(marker, section_name, values[key], _join(path, key))
+        return cls(**values)
 
     return read_section
+
+
+def _constrained(annotation: Any) -> bool:
+    """Whether an annotation declares a range, a choice or a non-empty rule."""
+    markers = getattr(annotation, "__metadata__", ())
+    return (
+        typing.get_origin(annotation) is Literal
+        or any(isinstance(marker, Range) or marker is NonEmpty for marker in markers)
+        or any(_constrained(arg) for arg in typing.get_args(annotation))
+    )
+
+
+@functools.cache
+def _options_fields(cls: type) -> list[tuple[str, Options]]:
+    hints = _hints(cls)
+    return [
+        (field.name, marker)
+        for field in dataclasses.fields(cls)
+        for marker in getattr(hints[field.name], "__metadata__", ())
+        if isinstance(marker, Options)
+    ]
+
+
+@functools.cache
+def _readers(owner: Any, constrained: bool) -> dict[str, _Reader]:
+    """A reader per annotation of a class or function (constrained ones only, if so).
+
+    An unconstrained parameter typed as a live object (a popularity model,
+    a base process) has no plain form and gets no reader.
+    """
+    readers: dict[str, _Reader] = {}
+    for name, annotation in _hints(owner).items():
+        if _constrained(annotation):
+            readers[name] = _reader(annotation)
+        elif not constrained:
+            with contextlib.suppress(TypeError):
+                readers[name] = _reader(annotation)
+    return readers
+
+
+def _read_options(marker: Options, name: Any, options: dict, path: str) -> None:
+    factory = marker.resolve(name)
+    readers = _readers(_init(factory), constrained=False) if factory is not None else {}
+    for key, value in options.items():
+        if key in readers:
+            readers[key](value, _join(path, key))

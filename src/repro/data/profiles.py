@@ -18,8 +18,10 @@ texture.  Two presets mirror the paper's two datasets:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 from repro.api.registry import PROFILES
+from repro.api.schema import Range, check
 
 
 @dataclass(frozen=True)
@@ -51,22 +53,17 @@ class DatasetProfile:
     """
 
     name: str
-    num_classes: int
-    storage_resolution_mean: int
+    num_classes: Annotated[int, Range(ge=2)]  # a classification needs two
+    storage_resolution_mean: Annotated[int, Range(ge=32)]  # smaller means nothing
     storage_resolution_std: int
     object_scale_mean: float
     object_scale_std: float
-    texture_weight: float
+    texture_weight: Annotated[float, Range(ge=0, le=1)]
     detail_sensitivity: float
     base_quality: int = 85
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("a classification dataset needs at least 2 classes")
-        if not 0.0 <= self.texture_weight <= 1.0:
-            raise ValueError("texture_weight must be in [0, 1]")
-        if self.storage_resolution_mean < 32:
-            raise ValueError("storage resolution too small to be meaningful")
+        check(self)
 
 
 IMAGENET_LIKE = DatasetProfile(

@@ -32,9 +32,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.api.registry import ARRIVALS
+from repro.api.schema import NonNegative, Positive, PositiveInt, check, checked
+from repro.serving.popularity import PopularityModel  # imports only the registry
 
-if TYPE_CHECKING:  # popularity imports the registry, not this module; no cycle
-    from repro.serving.popularity import PopularityModel
+if TYPE_CHECKING:
     from repro.serving.workload import ArrivalStream
 
 
@@ -52,8 +53,6 @@ def _key_probabilities(num_keys: int, zipf_alpha: float) -> np.ndarray:
     """Popularity distribution over key ranks (rank 0 is the hottest key)."""
     if num_keys <= 0:
         raise ValueError("need at least one key")
-    if zipf_alpha < 0:
-        raise ValueError("zipf_alpha must be non-negative")
     if zipf_alpha == 0.0:
         return np.full(num_keys, 1.0 / num_keys)
     weights = (np.arange(num_keys) + 1.0) ** -zipf_alpha
@@ -65,7 +64,7 @@ def sample_keys(
     keys: Sequence[str],
     count: int,
     zipf_alpha: float = 0.0,
-    popularity: "PopularityModel | None" = None,
+    popularity: PopularityModel | None = None,
 ) -> list[str]:
     """Draw ``count`` keys with replacement, skewed by rank popularity.
 
@@ -100,14 +99,13 @@ class ArrivalProcess:
 class PoissonArrivals(ArrivalProcess):
     """Open-loop Poisson traffic at ``rate_rps`` requests per second."""
 
-    rate_rps: float
+    rate_rps: Positive
     seed: int = 0
-    zipf_alpha: float = 0.0
-    popularity: "PopularityModel | None" = None
+    zipf_alpha: NonNegative = 0.0
+    popularity: PopularityModel | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError("arrival rate must be positive")
+        check(self)
 
     def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
         # Local import: workload.py imports this module for the base class.
@@ -127,23 +125,20 @@ class OnOffArrivals(ArrivalProcess):
 
     Phase durations are exponential with means ``mean_on_s`` / ``mean_off_s``;
     within the OFF phase requests arrive at ``off_rate_rps`` (0 for silence).
+    OFF phases so long that ``clock + mean_on_s == clock`` raise
+    ``ValueError``: no arrival could fit in an ON phase any more.
     """
 
-    on_rate_rps: float
-    off_rate_rps: float = 0.0
-    mean_on_s: float = 0.1
-    mean_off_s: float = 0.3
+    on_rate_rps: Positive
+    off_rate_rps: NonNegative = 0.0
+    mean_on_s: Positive = 0.1
+    mean_off_s: Positive = 0.3
     seed: int = 0
-    zipf_alpha: float = 0.0
-    popularity: "PopularityModel | None" = None
+    zipf_alpha: NonNegative = 0.0
+    popularity: PopularityModel | None = None
 
     def __post_init__(self) -> None:
-        if self.on_rate_rps <= 0:
-            raise ValueError("ON-phase rate must be positive")
-        if self.off_rate_rps < 0:
-            raise ValueError("OFF-phase rate must be non-negative")
-        if self.mean_on_s <= 0 or self.mean_off_s <= 0:
-            raise ValueError("phase durations must be positive")
+        check(self)
 
     def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
         # The phase walk is inherently sequential: each burst boundary
@@ -157,6 +152,12 @@ class OnOffArrivals(ArrivalProcess):
         while len(times) < num_requests:
             mean = self.mean_on_s if on_phase else self.mean_off_s
             rate = self.on_rate_rps if on_phase else self.off_rate_rps
+            if rate > 0 and clock + mean == clock:  # else this loops forever
+                raise ValueError(
+                    f"on/off arrivals stop at t = {clock:g} s, where a {mean:g} s phase no "
+                    f"longer moves the clock (mean_off_s = {self.mean_off_s:g}, "
+                    f"mean_on_s = {self.mean_on_s:g}): no arrival can fit"
+                )
             phase_end = clock + float(rng.exponential(mean))
             if rate > 0:
                 cursor = clock
@@ -182,21 +183,16 @@ class ClosedLoopClients:
     deterministic, so the call order (and hence the RNG stream) is too.
     """
 
+    @checked
     def __init__(
         self,
-        num_clients: int,
-        think_time_s: float = 0.01,
-        requests_per_client: int = 10,
+        num_clients: PositiveInt,
+        think_time_s: NonNegative = 0.01,
+        requests_per_client: PositiveInt = 10,
         seed: int = 0,
-        zipf_alpha: float = 0.0,
-        popularity: "PopularityModel | None" = None,
+        zipf_alpha: NonNegative = 0.0,
+        popularity: PopularityModel | None = None,
     ) -> None:
-        if num_clients <= 0:
-            raise ValueError("need at least one client")
-        if think_time_s < 0:
-            raise ValueError("think time must be non-negative")
-        if requests_per_client <= 0:
-            raise ValueError("each client must issue at least one request")
         self.num_clients = num_clients
         self.think_time_s = think_time_s
         self.requests_per_client = requests_per_client

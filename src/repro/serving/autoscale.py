@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api.registry import AUTOSCALE_POLICIES
+from repro.api.schema import Fraction, Positive, PositiveInt, checked
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,18 @@ class ThresholdAutoscaler(AutoscalePolicy):
     sinusoid one step behind the traffic.
     """
 
+    @checked
     def __init__(
         self,
-        high_rps_per_shard: float = 500.0,
-        low_rps_per_shard: float = 100.0,
-        step: int = 1,
+        high_rps_per_shard: Positive = 500.0,
+        low_rps_per_shard: Positive = 100.0,
+        step: PositiveInt = 1,
     ) -> None:
-        if high_rps_per_shard <= 0 or low_rps_per_shard <= 0:
-            raise ValueError("autoscale watermarks must be positive")
         if low_rps_per_shard >= high_rps_per_shard:
             raise ValueError(
                 "low_rps_per_shard must sit below high_rps_per_shard "
                 "(the dead band prevents flapping)"
             )
-        if step <= 0:
-            raise ValueError("step must be positive")
         self.high_rps_per_shard = high_rps_per_shard
         self.low_rps_per_shard = low_rps_per_shard
         self.step = step
@@ -132,24 +130,19 @@ class EwmaQueueAutoscaler(AutoscalePolicy):
     pure arrival-rate threshold cannot see.
     """
 
+    @checked
     def __init__(
         self,
-        alpha: float = 0.5,
-        high_backlog_per_shard: float = 4.0,
-        low_backlog_per_shard: float = 0.5,
-        step: int = 1,
+        alpha: Fraction = 0.5,
+        high_backlog_per_shard: Positive = 4.0,
+        low_backlog_per_shard: Positive = 0.5,
+        step: PositiveInt = 1,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if high_backlog_per_shard <= 0 or low_backlog_per_shard <= 0:
-            raise ValueError("autoscale watermarks must be positive")
         if low_backlog_per_shard >= high_backlog_per_shard:
             raise ValueError(
                 "low_backlog_per_shard must sit below high_backlog_per_shard "
                 "(the dead band prevents flapping)"
             )
-        if step <= 0:
-            raise ValueError("step must be positive")
         self.alpha = alpha
         self.high_backlog_per_shard = high_backlog_per_shard
         self.low_backlog_per_shard = low_backlog_per_shard

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.registry import BATCH_COSTS, BATCHERS
+from repro.api.schema import NonNegative, PositiveInt, checked
 from repro.hwsim.latency import ModelLatencyEstimator
 from repro.hwsim.machine import MachineModel
 from repro.nn.module import Module
@@ -111,11 +112,8 @@ class _Group:
 class DynamicBatcher:
     """Group opaque items by resolution under a size-or-deadline rule."""
 
-    def __init__(self, max_batch_size: int, max_wait_s: float) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max batch size must be positive")
-        if max_wait_s < 0:
-            raise ValueError("max wait must be non-negative")
+    @checked
+    def __init__(self, max_batch_size: PositiveInt, max_wait_s: NonNegative) -> None:
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self._groups: dict[int, _Group] = {}

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.registry import CACHES
+from repro.api.schema import PositiveInt, checked
 from repro.storage.store import ImageStore
 
 
@@ -70,9 +71,8 @@ class CacheRead:
 class ScanCache:
     """Byte-capacitated LRU cache of scan prefixes over an :class:`ImageStore`."""
 
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("cache capacity must be positive")
+    @checked
+    def __init__(self, capacity_bytes: PositiveInt) -> None:
         self.capacity_bytes = capacity_bytes
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.bytes_cached = 0

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.registry import ADMISSION_POLICIES, PREFETCH_POLICIES
+from repro.api.schema import Fraction, Positive, PositiveInt, checked
 from repro.serving.arrivals import Request
 from repro.serving.events import (
     CacheProbed,
@@ -134,21 +135,14 @@ class EwmaAdmissionController(AdmissionPolicy):
     ``"deadline"``).
     """
 
+    @checked
     def __init__(
         self,
-        alpha: float = 0.3,
-        depth_threshold: float = 16.0,
-        deadline_s: float | None = None,
-        latency_alpha: float = 0.2,
+        alpha: Fraction = 0.3,
+        depth_threshold: Positive = 16.0,
+        deadline_s: Positive | None = None,
+        latency_alpha: Fraction = 0.2,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if depth_threshold <= 0:
-            raise ValueError("depth_threshold must be positive")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        if not 0.0 < latency_alpha <= 1.0:
-            raise ValueError("latency_alpha must be in (0, 1]")
         self.alpha = alpha
         self.depth_threshold = depth_threshold
         self.deadline_s = deadline_s
@@ -280,16 +274,13 @@ class NextScanPrefetcher(PrefetchPolicy):
     was prefetched but never probed before the run ended.
     """
 
+    @checked
     def __init__(
         self,
-        idle_threshold_s: float = 0.05,
-        max_keys_per_gap: int = 4,
+        idle_threshold_s: Positive = 0.05,
+        max_keys_per_gap: PositiveInt = 4,
         seed: int = 0,
     ) -> None:
-        if idle_threshold_s <= 0:
-            raise ValueError("idle_threshold_s must be positive")
-        if not isinstance(max_keys_per_gap, int) or max_keys_per_gap <= 0:
-            raise ValueError("max_keys_per_gap must be a positive integer")
         self.idle_threshold_s = idle_threshold_s
         self.max_keys_per_gap = max_keys_per_gap
         self.seed = seed

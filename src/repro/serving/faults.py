@@ -21,12 +21,22 @@ window's factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Annotated, Iterable, Literal, get_args
 
 import numpy as np
 
 from repro.api.registry import FAULTS
-from repro.api.schema import is_finite as _is_finite
+from repro.api.schema import (
+    Fraction,
+    NonEmpty,
+    NonNegative,
+    NonNegativeInt,
+    Positive,
+    PositiveInt,
+    check,
+    checked,
+    decode,
+)
 
 CRASH = "crash"
 RECOVER = "recover"
@@ -37,7 +47,8 @@ DEGRADE_END = "degrade-end"
 #: shard recovers before a window starting at that instant is applied to
 #: it (a window applied to a down shard would be lost), and a window ends
 #: before the next one on the same shard starts.
-_KINDS = (CRASH, RECOVER, DEGRADE_END, DEGRADE_START)
+FaultKind = Literal["crash", "recover", "degrade-end", "degrade-start"]
+_KINDS = get_args(FaultKind)
 
 
 @dataclass(frozen=True)
@@ -49,18 +60,13 @@ class FaultEvent:
     ``degrade-end``.
     """
 
-    time: float
-    kind: str
+    time: NonNegative
+    kind: FaultKind
     shard_id: int
-    factor: float = 1.0
+    factor: Fraction = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_finite(self.time) or self.time < 0:
-            raise ValueError("fault time must be a finite non-negative number")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; known: {_KINDS}")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("fault factor must be in (0, 1]")
+        check(self)
 
 
 class FaultInjector:
@@ -83,6 +89,18 @@ def sort_schedule(events: Iterable[FaultEvent]) -> list[FaultEvent]:
     )
 
 
+@dataclass(frozen=True)
+class Crash:
+    """One ``crash-schedule`` descriptor: a shard, a crash time, an outage."""
+
+    shard: NonNegativeInt
+    at_s: NonNegative
+    down_s: Positive | None = None
+
+    def __post_init__(self) -> None:
+        check(self)
+
+
 @FAULTS.register("crash-schedule")
 class CrashSchedule(FaultInjector):
     """Explicit shard crashes: ``crashes`` is a list of crash descriptors.
@@ -94,45 +112,20 @@ class CrashSchedule(FaultInjector):
     """
 
     def __init__(self, crashes: list[dict]) -> None:
-        if not isinstance(crashes, list) or not crashes:
-            raise ValueError("crash-schedule needs a non-empty list of crashes")
-        self.crashes = []
-        for index, crash in enumerate(crashes):
-            if not isinstance(crash, dict):
-                raise ValueError(f"crashes[{index}] must be a mapping")
-            unknown = sorted(set(crash) - {"shard", "at_s", "down_s"})
-            if unknown:
-                raise ValueError(
-                    f"crashes[{index}] has unknown key(s) {unknown}; "
-                    "known keys: shard, at_s, down_s"
-                )
-            shard = crash.get("shard")
-            at_s = crash.get("at_s")
-            down_s = crash.get("down_s")
-            if not isinstance(shard, int) or shard < 0:
-                raise ValueError(f"crashes[{index}].shard must be a shard index")
-            if not _is_finite(at_s) or at_s < 0:
-                raise ValueError(
-                    f"crashes[{index}].at_s must be a finite non-negative number"
-                )
-            if down_s is not None and (not _is_finite(down_s) or down_s <= 0):
-                raise ValueError(f"crashes[{index}].down_s must be a finite positive number")
-            self.crashes.append({"shard": shard, "at_s": at_s, "down_s": down_s})
+        self.crashes = decode(Annotated[tuple[Crash, ...], NonEmpty], crashes, "crashes")
 
     def schedule(self, horizon_s: float, num_shards: int) -> list[FaultEvent]:
         events: list[FaultEvent] = []
         for crash in self.crashes:
-            if crash["shard"] >= num_shards:
+            if crash.shard >= num_shards:
                 continue  # shard index beyond this run's fleet: nothing to kill
-            events.append(
-                FaultEvent(time=float(crash["at_s"]), kind=CRASH, shard_id=crash["shard"])
-            )
-            if crash["down_s"] is not None:
+            events.append(FaultEvent(time=float(crash.at_s), kind=CRASH, shard_id=crash.shard))
+            if crash.down_s is not None:
                 events.append(
                     FaultEvent(
-                        time=float(crash["at_s"] + crash["down_s"]),
+                        time=float(crash.at_s + crash.down_s),
                         kind=RECOVER,
-                        shard_id=crash["shard"],
+                        shard_id=crash.shard,
                     )
                 )
         return sort_schedule(events)
@@ -148,13 +141,10 @@ class RandomCrashes(FaultInjector):
     ``seed``, so a chaos sweep replays the exact same outages every run.
     """
 
+    @checked
     def __init__(
-        self, num_crashes: int = 1, mean_down_s: float = 0.02, seed: int = 0
+        self, num_crashes: PositiveInt = 1, mean_down_s: Positive = 0.02, seed: int = 0
     ) -> None:
-        if not isinstance(num_crashes, int) or num_crashes <= 0:
-            raise ValueError("num_crashes must be a positive integer")
-        if not _is_finite(mean_down_s) or mean_down_s <= 0:
-            raise ValueError("mean_down_s must be a finite positive number")
         self.num_crashes = num_crashes
         self.mean_down_s = mean_down_s
         self.seed = seed
@@ -173,6 +163,19 @@ class RandomCrashes(FaultInjector):
         return sort_schedule(events)
 
 
+@dataclass(frozen=True)
+class StorageWindow:
+    """One ``degraded-storage`` descriptor: a shard's slowed-link window."""
+
+    shard: NonNegativeInt
+    at_s: NonNegative
+    duration_s: Positive
+    factor: Fraction = 0.5
+
+    def __post_init__(self) -> None:
+        check(self)
+
+
 @FAULTS.register("degraded-storage")
 class DegradedStorage(FaultInjector):
     """Degraded storage-bandwidth windows on individual shards.
@@ -186,61 +189,29 @@ class DegradedStorage(FaultInjector):
     """
 
     def __init__(self, windows: list[dict]) -> None:
-        if not isinstance(windows, list) or not windows:
-            raise ValueError("degraded-storage needs a non-empty list of windows")
-        self.windows = []
-        for index, window in enumerate(windows):
-            if not isinstance(window, dict):
-                raise ValueError(f"windows[{index}] must be a mapping")
-            unknown = sorted(set(window) - {"shard", "at_s", "duration_s", "factor"})
-            if unknown:
-                raise ValueError(
-                    f"windows[{index}] has unknown key(s) {unknown}; "
-                    "known keys: shard, at_s, duration_s, factor"
-                )
-            shard = window.get("shard")
-            at_s = window.get("at_s")
-            duration_s = window.get("duration_s")
-            factor = window.get("factor", 0.5)
-            if not isinstance(shard, int) or shard < 0:
-                raise ValueError(f"windows[{index}].shard must be a shard index")
-            if not _is_finite(at_s) or at_s < 0:
-                raise ValueError(
-                    f"windows[{index}].at_s must be a finite non-negative number"
-                )
-            if not _is_finite(duration_s) or duration_s <= 0:
-                raise ValueError(
-                    f"windows[{index}].duration_s must be a finite positive number"
-                )
-            if not isinstance(factor, (int, float)) or not 0.0 < factor <= 1.0:
-                raise ValueError(f"windows[{index}].factor must be in (0, 1]")
-            self.windows.append(
-                {
-                    "shard": shard,
-                    "at_s": float(at_s),
-                    "duration_s": float(duration_s),
-                    "factor": float(factor),
-                }
-            )
+        self.windows = decode(
+            Annotated[tuple[StorageWindow, ...], NonEmpty], windows, "windows"
+        )
 
     def schedule(self, horizon_s: float, num_shards: int) -> list[FaultEvent]:
         events: list[FaultEvent] = []
         for window in self.windows:
-            if window["shard"] >= num_shards:
+            if window.shard >= num_shards:
                 continue
+            at_s = float(window.at_s)
             events.append(
                 FaultEvent(
-                    time=window["at_s"],
+                    time=at_s,
                     kind=DEGRADE_START,
-                    shard_id=window["shard"],
-                    factor=window["factor"],
+                    shard_id=window.shard,
+                    factor=float(window.factor),
                 )
             )
             events.append(
                 FaultEvent(
-                    time=window["at_s"] + window["duration_s"],
+                    time=at_s + float(window.duration_s),
                     kind=DEGRADE_END,
-                    shard_id=window["shard"],
+                    shard_id=window.shard,
                 )
             )
         return sort_schedule(events)

@@ -48,6 +48,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.api.reports import Report, report_type
+from repro.api.schema import Positive, PositiveInt, checked
 from repro.serving.arrivals import Request
 from repro.serving.autoscale import AutoscalePolicy, NoAutoscale
 from repro.serving.elastic import (
@@ -91,17 +92,14 @@ class ConsistentHashRouter:
     ``replicas=1`` the group is the key's single owner, :meth:`route`.
     """
 
+    @checked
     def __init__(
         self,
         shard_ids: Iterable[Any],
-        virtual_nodes: int = 64,
+        virtual_nodes: PositiveInt = 64,
         seed: int = 0,
-        replicas: int = 1,
+        replicas: PositiveInt = 1,
     ) -> None:
-        if virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
         self.virtual_nodes = virtual_nodes
         self.seed = seed
         self.replicas = replicas
@@ -436,6 +434,7 @@ class ShardedFleet:
     of every arrival.
     """
 
+    @checked
     def __init__(
         self,
         servers: Sequence[InferenceServer],
@@ -443,9 +442,9 @@ class ShardedFleet:
         *,
         server_factory: Callable[[int], InferenceServer] | None = None,
         autoscale: AutoscalePolicy | None = None,
-        autoscale_interval_s: float = 0.05,
-        min_shards: int = 1,
-        max_shards: int = 16,
+        autoscale_interval_s: Positive = 0.05,
+        min_shards: PositiveInt = 1,
+        max_shards: PositiveInt = 16,
         injectors: Sequence[FaultInjector] = (),
         observers: Sequence[ServerObserver] = (),
     ) -> None:
@@ -468,10 +467,8 @@ class ShardedFleet:
                 "fleet servers must share one StorageBandwidthModel; "
                 f"got {len(bandwidths)} distinct models"
             )
-        if autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be positive")
-        if min_shards <= 0 or max_shards < min_shards:
-            raise ValueError("need 0 < min_shards <= max_shards")
+        if max_shards < min_shards:
+            raise ValueError("need min_shards <= max_shards")
         if isinstance(autoscale, NoAutoscale):
             autoscale = None  # the no-op policy never changes anything
         if autoscale is not None and not min_shards <= len(self.servers) <= max_shards:

@@ -17,6 +17,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.api.registry import RESOLUTION_POLICIES
+from repro.api.schema import NonNegativeInt, PositiveInt, Resolutions, checked
 from repro.core.policies import ResolutionPolicy
 
 
@@ -39,17 +40,14 @@ class LoadAdaptiveResolutionPolicy(ResolutionPolicy):
         Cap on how many ladder steps a single request may be degraded.
     """
 
+    @checked
     def __init__(
         self,
         inner: ResolutionPolicy,
-        resolutions: tuple[int, ...],
-        queue_threshold: int = 8,
-        max_degradation_steps: int | None = None,
+        resolutions: Resolutions,
+        queue_threshold: PositiveInt = 8,
+        max_degradation_steps: NonNegativeInt | None = None,
     ) -> None:
-        if not resolutions:
-            raise ValueError("need at least one candidate resolution")
-        if queue_threshold <= 0:
-            raise ValueError("queue threshold must be positive")
         self.inner = inner
         self.resolutions = tuple(sorted(resolutions))
         self.queue_threshold = queue_threshold

@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.registry import POPULARITY
+from repro.api.schema import NonNegative, check
 
 
 class PopularityModel:
@@ -76,11 +77,10 @@ class UniformPopularity(PopularityModel):
 class ZipfPopularity(PopularityModel):
     """Pure Zipf: ``p(rank) ∝ (rank+1)^-alpha`` (``alpha=0`` is uniform)."""
 
-    alpha: float = 1.0
+    alpha: NonNegative = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        check(self)
 
     def probabilities(self, num_keys: int) -> np.ndarray:
         num_keys = _validated_num_keys(num_keys)
@@ -98,14 +98,11 @@ class ZipfMandelbrotPopularity(PopularityModel):
     closer in popularity than a pure power law predicts.
     """
 
-    alpha: float = 1.0
-    shift: float = 0.0
+    alpha: NonNegative = 1.0
+    shift: NonNegative = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative")
+        check(self)
 
     def probabilities(self, num_keys: int) -> np.ndarray:
         num_keys = _validated_num_keys(num_keys)

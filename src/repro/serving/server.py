@@ -91,6 +91,7 @@ from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from repro.api.schema import Fraction, NonNegative, PositiveInt, Resolutions, check
 from repro.codec.progressive import ProgressiveImage
 from repro.core.policies import ResolutionPolicy, StaticResolutionPolicy
 from repro.imaging.transforms import InferencePreprocessor
@@ -160,34 +161,21 @@ _T = TypeVar("_T")
 class ServerConfig:
     """Knobs of the serving tier (the arrival process supplies the traffic)."""
 
-    resolutions: tuple[int, ...]
+    resolutions: Resolutions
     scale_resolution: int | None = None
-    num_workers: int = 2
-    max_batch_size: int = 4
-    max_wait_s: float = 0.005
-    scale_model_seconds: float = 0.0
-    crop_ratio: float = 0.75
+    num_workers: PositiveInt = 2
+    max_batch_size: PositiveInt = 4
+    max_wait_s: NonNegative = 0.005
+    scale_model_seconds: NonNegative = 0.0
+    crop_ratio: Fraction = 0.75
 
     def __post_init__(self) -> None:
-        if not self.resolutions:
-            raise ValueError("need at least one candidate resolution")
-        if any(resolution <= 0 for resolution in self.resolutions):
-            raise ValueError("resolutions must be positive")
+        check(self)
         if self.scale_resolution is not None and self.scale_resolution not in self.resolutions:
             raise ValueError(
                 f"scale_resolution {self.scale_resolution} is not one of the "
                 f"candidate resolutions {tuple(sorted(self.resolutions))}"
             )
-        if self.num_workers <= 0:
-            raise ValueError("need at least one worker")
-        if self.max_batch_size <= 0:
-            raise ValueError("max batch size must be positive")
-        if self.max_wait_s < 0:
-            raise ValueError("max wait must be non-negative")
-        if self.scale_model_seconds < 0:
-            raise ValueError("scale model time must be non-negative")
-        if not 0.0 < self.crop_ratio <= 1.0:
-            raise ValueError("crop ratio must be in (0, 1]")
 
 
 #: A dynamic request's stage-1 read without a cache tier:

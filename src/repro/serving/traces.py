@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.api.registry import OBSERVERS
+from repro.api.schema import Name, NonNegative, NonNegativeInt, Positive, check
 from repro.serving.events import (
     RequestAdmitted,
     RequestArrived,
@@ -55,39 +55,16 @@ class TraceFormatError(ValueError):
 class TraceRecord:
     """One empirical arrival: when, which key, and optional annotations."""
 
-    timestamp: float
-    key: str
-    size_bytes: int | None = None
-    deadline_s: float | None = None
+    timestamp: NonNegative
+    key: Name
+    size_bytes: NonNegativeInt | None = None
+    deadline_s: Positive | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, (int, float)) or isinstance(
-            self.timestamp, bool
-        ):
-            raise TraceFormatError(f"timestamp must be a number, got {self.timestamp!r}")
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise TraceFormatError(
-                f"timestamp must be finite and non-negative, got {self.timestamp!r}"
-            )
-        if not isinstance(self.key, str) or not self.key:
-            raise TraceFormatError(f"key must be a non-empty string, got {self.key!r}")
-        if self.size_bytes is not None and (
-            not isinstance(self.size_bytes, int)
-            or isinstance(self.size_bytes, bool)
-            or self.size_bytes < 0
-        ):
-            raise TraceFormatError(
-                f"size_bytes must be a non-negative integer, got {self.size_bytes!r}"
-            )
-        if self.deadline_s is not None and (
-            not isinstance(self.deadline_s, (int, float))
-            or isinstance(self.deadline_s, bool)
-            or not math.isfinite(self.deadline_s)
-            or self.deadline_s <= 0
-        ):
-            raise TraceFormatError(
-                f"deadline_s must be a positive number, got {self.deadline_s!r}"
-            )
+        try:
+            check(self)
+        except ValueError as error:
+            raise TraceFormatError(str(error)) from None
 
     def to_dict(self) -> dict:
         """The record as a plain dict, omitting absent optional fields."""

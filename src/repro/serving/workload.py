@@ -31,17 +31,17 @@ wired through the ``serving.arrivals`` config section (``trace_path``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Annotated, Iterator, Literal, Sequence
 
 import numpy as np
 
 from repro.api.registry import ARRIVALS
-from repro.api.schema import is_finite
+from repro.api.schema import Amplitude, Finite, NonEmpty, Positive, Range, check, checked
 from repro.serving.arrivals import ArrivalProcess, Request
 from repro.serving.traces import TraceRecord, load_trace
 
 #: Replay modes: stop at the end of the trace, or wrap around and keep going.
-REPLAY_MODES = ("truncate", "loop")
+ReplayMode = Literal["truncate", "loop"]
 
 
 class ArrivalStream(Sequence):
@@ -140,21 +140,14 @@ class TraceReplayArrivals(ArrivalProcess):
     """
 
     trace_path: str | None = None
-    speedup: float = 1.0
-    mode: str = "truncate"
-    records: tuple[TraceRecord, ...] | None = field(default=None, repr=False)
+    speedup: Positive = 1.0
+    mode: ReplayMode = "truncate"
+    records: Annotated[tuple[TraceRecord, ...], NonEmpty] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        check(self)
         if (self.trace_path is None) == (self.records is None):
             raise ValueError("provide exactly one of trace_path or records")
-        if not (is_finite(self.speedup) and self.speedup > 0):
-            raise ValueError("speedup must be a finite positive number")
-        if self.mode not in REPLAY_MODES:
-            raise ValueError(
-                f"mode must be one of {', '.join(REPLAY_MODES)}; got {self.mode!r}"
-            )
-        if self.records is not None and not self.records:
-            raise ValueError("records must be non-empty")
 
     def load_records(self) -> list[TraceRecord]:
         """The trace records, sorted by timestamp (stable for ties).
@@ -240,28 +233,21 @@ class DiurnalArrivals(ArrivalProcess):
     percentile's resolution.
     """
 
+    @checked
     def __init__(
         self,
         base: ArrivalProcess,
-        period_s: float = 86_400.0,
-        amplitude: float = 0.5,
-        phase: float = 0.0,
-        envelope: Sequence[float] = (),
-        grid_per_period: int = 4096,
+        period_s: Positive = 86_400.0,
+        amplitude: Amplitude = 0.5,
+        phase: Finite = 0.0,
+        envelope: tuple[Positive, ...] = (),
+        grid_per_period: Annotated[int, Range(ge=16)] = 4096,
     ) -> None:
         if not hasattr(base, "stream"):
             raise ValueError(
                 "diurnal modulation needs an open-loop base process with a "
                 f".stream() method; got {type(base).__name__}"
             )
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        if any(value <= 0 for value in envelope):
-            raise ValueError("envelope multipliers must be positive")
-        if grid_per_period < 16:
-            raise ValueError("grid_per_period must be at least 16")
         self.base = base
         self.period_s = float(period_s)
         self.amplitude = float(amplitude)
@@ -320,4 +306,4 @@ class DiurnalArrivals(ArrivalProcess):
         )
 
 
-__all__ = ["REPLAY_MODES", "ArrivalStream", "DiurnalArrivals", "TraceReplayArrivals"]
+__all__ = ["ArrivalStream", "DiurnalArrivals", "ReplayMode", "TraceReplayArrivals"]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.schema import NonNegative, Positive, check
+
 
 @dataclass(frozen=True)
 class TransferEstimate:
@@ -30,18 +32,13 @@ class StorageBandwidthModel:
     latency, $0.09/GB egress and $0.0004 per 1000 GET requests.
     """
 
-    link_gbps: float = 10.0
-    per_request_latency_s: float = 0.0005
-    dollars_per_gb: float = 0.09
-    dollars_per_1k_requests: float = 0.0004
+    link_gbps: Positive = 10.0
+    per_request_latency_s: NonNegative = 0.0005
+    dollars_per_gb: NonNegative = 0.09
+    dollars_per_1k_requests: NonNegative = 0.0004
 
     def __post_init__(self) -> None:
-        if self.link_gbps <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.per_request_latency_s < 0:
-            raise ValueError("per-request latency must be non-negative")
-        if self.dollars_per_gb < 0 or self.dollars_per_1k_requests < 0:
-            raise ValueError("prices must be non-negative")
+        check(self)
 
     @property
     def bytes_per_second(self) -> float:

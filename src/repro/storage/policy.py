@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.schema import Fraction, PositiveInt, check
 from repro.codec.progressive import ProgressiveImage
 from repro.imaging.metrics import ssim
 from repro.imaging.resize import resize
@@ -36,18 +37,11 @@ class ScanReadPolicy:
         key whose object has since been replaced is computed again.
     """
 
-    ssim_thresholds: dict[int, float] = field(default_factory=dict)
+    ssim_thresholds: dict[PositiveInt, Fraction] = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for resolution, threshold in self.ssim_thresholds.items():
-            if resolution <= 0:
-                raise ValueError(f"threshold resolution {resolution} must be positive")
-            if not 0.0 < threshold <= 1.0:
-                raise ValueError(
-                    f"SSIM threshold for resolution {resolution} must be in (0, 1], "
-                    f"got {threshold}"
-                )
+        check(self)
 
     def scans_for(
         self,

@@ -27,11 +27,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.pareto import ParetoPoint, pareto_frontier
+from repro.api.config import Direction
+from repro.api.schema import Name, check
 from repro.sweep.results import ResultsTable
 
 #: Objectives used when neither the config nor the CLI names any: the
 #: serving trade-off triangle (tail latency, shed load, storage dollars).
-DEFAULT_OBJECTIVES = (
+DEFAULT_OBJECTIVES: tuple[tuple[str, Direction], ...] = (
     ("report.p99_latency_ms", "min"),
     ("report.drop_rate", "min"),
     ("report.transfer_dollars", "min"),
@@ -44,16 +46,11 @@ PARETO_FILENAME = "pareto.json"
 class Objective:
     """One analysis objective: a table column and the direction that wins."""
 
-    column: str
-    direction: str = "min"
+    column: Name
+    direction: Direction = "min"
 
     def __post_init__(self) -> None:
-        if not self.column:
-            raise ValueError("objective column must be non-empty")
-        if self.direction not in ("min", "max"):
-            raise ValueError(
-                f"objective direction must be 'min' or 'max', got {self.direction!r}"
-            )
+        check(self)
 
     @property
     def minimizes(self) -> bool:

@@ -6,10 +6,14 @@ offending value's dotted path, and ``repro serve`` must turn that into one
 ``error:`` line and exit status 2 instead of a traceback.  The property
 walks every example config by the config classes' annotations, swaps one
 typed value for a value of the wrong JSON type, and checks the message.
-The contents of free-form mappings (``options``, ``store.overrides``,
+The ``options`` of the arrivals, popularity, admission, prefetch and
+autoscale sections are typed by the annotations of the component their
+``name`` selects, so the walk swaps those too.  The contents of the other
+free-form mappings (other sections' ``options``, ``store.overrides``,
 sweep-grid value lists, per-shard patches) are not typed, so they are not
-swapped.  A component's ``options`` are checked when the engine builds
-it instead: ``repro serve`` must fail the same clean way on those.
+swapped; those ``options`` are checked when the engine builds the
+component instead, and ``repro serve`` must fail the same clean way on
+them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api.cli import main
 from repro.api.config import ArrivalsConfig, EngineConfig
+from repro.api.schema import Options
 from repro.serving.traces import TraceRecord
 from repro.serving.workload import TraceReplayArrivals
 
@@ -58,6 +63,8 @@ def _accepts(annotation: typing.Any, value: typing.Any) -> bool:
         return isinstance(value, dict)
     if origin in (tuple, list):
         return isinstance(value, list)
+    if origin is typing.Literal:
+        return value in typing.get_args(base)
     if base is bool:
         return isinstance(value, bool)
     if isinstance(value, bool):
@@ -83,12 +90,38 @@ def _typed_values(annotation, value, keys, path):
                 yield from _typed_values(
                     hints[field.name], value[field.name], keys + (field.name,), dotted
                 )
+                factory = _options_factory(base, field.name, value)
+                if factory is not None and isinstance(value[field.name], dict):
+                    parameters = _parameter_types(factory)
+                    for option, item in value[field.name].items():
+                        if option in parameters:
+                            yield from _typed_values(
+                                parameters[option],
+                                item,
+                                keys + (field.name, option),
+                                f"{dotted}.{option}",
+                            )
     elif typing.get_origin(base) is tuple and isinstance(value, list):
         for index, item in enumerate(value):
             yield from _typed_values(args[0], item, keys + (index,), f"{path}[{index}]")
     elif typing.get_origin(base) is dict and isinstance(value, dict):
         for key, item in value.items():
             yield from _typed_values(args[1], item, keys + (key,), f"{path}.{key}")
+
+
+def _options_factory(section: type, field_name: str, value: dict):
+    """The component whose parameters type ``section.field_name``, if any."""
+    annotation = typing.get_type_hints(section, include_extras=True)[field_name]
+    markers = getattr(annotation, "__metadata__", ())
+    default = {field.name: field.default for field in dataclasses.fields(section)}
+    for marker in markers:
+        if isinstance(marker, Options):
+            return marker.resolve(value.get("name", default.get("name")))
+    return None
+
+
+def _parameter_types(factory) -> dict:
+    return typing.get_type_hints(factory.__init__)
 
 
 CASES = [
@@ -102,6 +135,11 @@ def test_the_walk_reaches_nested_sections_lists_and_int_keyed_maps():
     paths = {path for _, _, path, _ in CASES}
     for path in (
         "serving.arrivals.options",
+        "serving.arrivals.options.mean_off_s",
+        "serving.arrivals.popularity.options.dataset",
+        "serving.admission.options.alpha",
+        "serving.prefetch.options.max_keys_per_gap",
+        "serving.fleet.autoscale.options.high_rps_per_shard",
         "serving.fleet.faults[0].name",
         "serving.fleet.overrides.0",
         "ssim_thresholds.24",
@@ -131,7 +169,8 @@ def test_a_wrong_typed_value_fails_at_load_naming_its_path(case, draw):
 
 #: Inputs that crashed with a TypeError, failed naming no field, or were
 #: silently accepted before configs were read through the annotations:
-#: (dotted path to set in serving_bursty.json, value, path the error names).
+#: (dotted path to set, value, path the error names[, example config, by
+#: default serving_bursty]).
 PROBES = [
     ("serving.num_workers", "two", "serving.num_workers"),
     ("serving.num_requests", None, "serving.num_requests"),
@@ -160,10 +199,29 @@ PROBES = [
     ("serving.scale_model_seconds", math.inf, "serving.scale_model_seconds"),
     ("serving.arrivals.speedup", 10**400, "serving.arrivals.speedup"),
     ("serving.arrivals.options.on_rate_rps", 10**400, "arrivals.options.on_rate_rps"),
+    # Options the arrival process and the autoscaler take, checked at load
+    # against their annotations: an OverflowError traceback, a hang, a run
+    # whose first ON phase never ended, an error naming no field, and a
+    # NaN watermark that ran.
+    (
+        "serving.arrivals.options.off_rate_rps",
+        10**400,
+        "serving.arrivals.options.off_rate_rps",
+    ),
+    ("serving.arrivals.options.mean_off_s", math.inf, "serving.arrivals.options.mean_off_s"),
+    ("serving.arrivals.options.mean_on_s", math.nan, "serving.arrivals.options.mean_on_s"),
+    ("serving.arrivals.options.zipf_alpha", math.nan, "serving.arrivals.options.zipf_alpha"),
+    (
+        "serving.fleet.autoscale.options.high_rps_per_shard",
+        math.nan,
+        "serving.fleet.autoscale.options.high_rps_per_shard",
+        "serving_autoscale",
+    ),
 ]
+PROBE_ARGS = [(*probe, "serving_bursty")[:4] for probe in PROBES]
 
 
-def _probe_id(path: str, value, names: str) -> str:
+def _probe_id(path: str, value, names: str, config: str = "serving_bursty") -> str:
     """The probed path; a probe of an out-of-range number also names it."""
     if isinstance(value, float) and math.isinf(value):
         return f"{path}=inf"
@@ -175,8 +233,8 @@ def _probe_id(path: str, value, names: str) -> str:
 PROBE_IDS = [_probe_id(*probe) for probe in PROBES]
 
 
-def _bursty_with(path: str, value) -> dict:
-    data = copy.deepcopy(CONFIGS["serving_bursty"])
+def _with(path: str, value, config: str = "serving_bursty") -> dict:
+    data = copy.deepcopy(CONFIGS[config])
     *sections, leaf = path.split(".")
     cursor = data
     for section in sections:
@@ -185,10 +243,10 @@ def _bursty_with(path: str, value) -> dict:
     return data
 
 
-@pytest.mark.parametrize("path, value, names", PROBES, ids=PROBE_IDS)
-def test_probed_input_fails_at_load_naming_the_field(path, value, names):
+@pytest.mark.parametrize("path, value, names, config", PROBE_ARGS, ids=PROBE_IDS)
+def test_probed_input_fails_at_load_naming_the_field(path, value, names, config):
     with pytest.raises(ValueError) as error:
-        EngineConfig.from_dict(_bursty_with(path, value))
+        EngineConfig.from_dict(_with(path, value, config))
     assert names in str(error.value)
 
 
@@ -202,15 +260,15 @@ def _assert_serve_fails_cleanly(data: dict, names: str, tmp_path, capsys) -> Non
     assert len(lines) == 1 and lines[0].startswith("error: ") and names in lines[0]
 
 
-@pytest.mark.parametrize("path, value, names", PROBES, ids=PROBE_IDS)
-def test_repro_serve_exits_2_with_one_error_line(path, value, names, tmp_path, capsys):
-    _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)
+@pytest.mark.parametrize("path, value, names, config", PROBE_ARGS, ids=PROBE_IDS)
+def test_repro_serve_exits_2_with_one_error_line(path, value, names, config, tmp_path, capsys):
+    _assert_serve_fails_cleanly(_with(path, value, config), names, tmp_path, capsys)
 
 
 def test_an_infinite_speedup_fails_at_load_naming_the_field(tmp_path, capsys):
     # A well-typed float that used to load: replay divided every timestamp
     # by it, so every arrival landed at t = 0.  JSON carries it as Infinity.
-    data = _bursty_with("serving.arrivals.speedup", float("inf"))
+    data = _with("serving.arrivals.speedup", float("inf"))
     with pytest.raises(ValueError, match="arrivals.speedup"):
         EngineConfig.from_dict(data)
     _assert_serve_fails_cleanly(data, "arrivals.speedup", tmp_path, capsys)
@@ -262,4 +320,4 @@ BUILD_PROBES = [
 def test_bad_component_options_fail_at_build_with_one_error_line(
     path, value, names, tmp_path, capsys
 ):
-    _assert_serve_fails_cleanly(_bursty_with(path, value), names, tmp_path, capsys)
+    _assert_serve_fails_cleanly(_with(path, value), names, tmp_path, capsys)

@@ -25,7 +25,7 @@ class TestServerConfigGuards:
             ServerConfig(resolutions=(24, 32, 48), scale_resolution=16)
 
     def test_rejects_non_positive_batch_size(self):
-        with pytest.raises(ValueError, match="batch size"):
+        with pytest.raises(ValueError, match="max_batch_size"):
             ServerConfig(resolutions=(24,), max_batch_size=0)
 
     def test_rejects_negative_wait(self):
@@ -33,13 +33,13 @@ class TestServerConfigGuards:
             ServerConfig(resolutions=(24,), max_wait_s=-0.001)
 
     def test_rejects_negative_scale_model_time(self):
-        with pytest.raises(ValueError, match="scale model"):
+        with pytest.raises(ValueError, match="scale_model_seconds"):
             ServerConfig(resolutions=(24,), scale_model_seconds=-1.0)
 
     def test_rejects_out_of_range_crop_ratio(self):
-        with pytest.raises(ValueError, match="crop ratio"):
+        with pytest.raises(ValueError, match="crop_ratio"):
             ServerConfig(resolutions=(24,), crop_ratio=0.0)
-        with pytest.raises(ValueError, match="crop ratio"):
+        with pytest.raises(ValueError, match="crop_ratio"):
             ServerConfig(resolutions=(24,), crop_ratio=1.5)
 
 
@@ -49,15 +49,15 @@ class TestScanReadPolicyGuards:
         assert policy.ssim_thresholds[48] == 1.0
 
     def test_rejects_non_positive_resolution_key(self):
-        with pytest.raises(ValueError, match="resolution"):
+        with pytest.raises(ValueError, match="ssim_thresholds key 0"):
             ScanReadPolicy(ssim_thresholds={0: 0.9})
 
     def test_rejects_threshold_above_one(self):
-        with pytest.raises(ValueError, match="SSIM threshold"):
+        with pytest.raises(ValueError, match="ssim_thresholds"):
             ScanReadPolicy(ssim_thresholds={24: 1.2})
 
     def test_rejects_non_positive_threshold(self):
-        with pytest.raises(ValueError, match="SSIM threshold"):
+        with pytest.raises(ValueError, match="ssim_thresholds"):
             ScanReadPolicy(ssim_thresholds={24: 0.0})
 
 
@@ -67,7 +67,7 @@ class TestBandwidthModelGuards:
             StorageBandwidthModel(per_request_latency_s=-0.1)
 
     def test_rejects_negative_prices(self):
-        with pytest.raises(ValueError, match="price"):
+        with pytest.raises(ValueError, match="dollars_per_gb"):
             StorageBandwidthModel(dollars_per_gb=-0.01)
-        with pytest.raises(ValueError, match="price"):
+        with pytest.raises(ValueError, match="dollars_per_1k_requests"):
             StorageBandwidthModel(dollars_per_1k_requests=-0.01)

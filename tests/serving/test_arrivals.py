@@ -1,5 +1,7 @@
 """Arrival-process tests: determinism, shape, and closed-loop bookkeeping."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ class TestOnOffArrivals:
             on_rate_rps=500.0, off_rate_rps=50.0, mean_on_s=0.05, mean_off_s=0.5, seed=2
         ).trace(KEYS, 100)
         assert len(trace) == 100
+
+    @pytest.mark.parametrize("mean_off_s", [1e16, 1e300])
+    def test_a_phase_the_clock_cannot_resolve_fails_instead_of_looping(self, mean_off_s):
+        """After one long OFF phase the clock sits where ``clock + gap ==
+        clock`` for every ON-phase draw, so no arrival can ever fit: the walk
+        must raise, naming the phase means, not spin.  The alarm turns a
+        regression into a failure instead of a hung suite."""
+
+        def hung(signum, frame):
+            raise TimeoutError("OnOffArrivals.stream is still looping after 20 s")
+
+        process = OnOffArrivals(
+            on_rate_rps=2500.0, mean_on_s=0.05, mean_off_s=mean_off_s, seed=7
+        )
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ValueError, match="mean_off_s.*mean_on_s"):
+                process.stream(KEYS, 120)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestZipfSampling:

@@ -466,6 +466,6 @@ def test_fault_times_must_be_finite(build, names, value) -> None:
 def test_a_directly_built_fault_event_needs_a_finite_time(value) -> None:
     """No injector emits such a time, but a schedule built by hand could:
     a NaN edge would sort nowhere and never fire."""
-    with pytest.raises(ValueError, match=r"^fault time must be a finite "):
+    with pytest.raises(ValueError, match=r"^time must be a finite "):
         FaultEvent(time=value, kind="crash", shard_id=0)
     assert FaultEvent(time=0, kind="crash", shard_id=0).time == 0
