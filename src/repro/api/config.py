@@ -16,10 +16,11 @@ not mid-run.  A directly built section checks the same annotations, and
 ``__post_init__`` holds only the cross-field rules they cannot state.
 
 Component *names* are resolved at build time, except that the arrivals,
-popularity, admission, prefetch and autoscale sections resolve theirs at
-load (importing the components) to read their ``options`` through the
-component's own annotations; an unregistered name, an unknown option and
-every other section's options fail when the engine builds the component.
+popularity, admission, prefetch, autoscale and batch-cost sections resolve
+theirs at load (importing the components) to read their ``options``
+through the component's own annotations; an unregistered name, an unknown
+option and every other section's options fail when the engine builds the
+component.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _PopularityOptions = Annotated[dict, Options(partial(_component, "popularity"))]
 _AdmissionOptions = Annotated[dict, Options(partial(_component, "admission-policies"))]
 _PrefetchOptions = Annotated[dict, Options(partial(_component, "prefetch-policies"))]
 _AutoscaleOptions = Annotated[dict, Options(partial(_component, "autoscale-policies"))]
+_BatchCostOptions = Annotated[dict, Options(partial(_component, "batch-costs"))]
 
 #: A sweep axis: the values one dotted path takes.
 _GridValues = Annotated[list, NonEmpty]
@@ -300,12 +302,16 @@ class PrefetchConfig(_DictMixin):
 
 @dataclass(frozen=True)
 class BatchCostConfig(_DictMixin):
-    """Batch execution pricing: linear (tests) or hwsim (analytical model)."""
+    """Batch execution pricing: linear (tests) or hwsim (analytical model).
+
+    Options are checked against the annotations of the model the name
+    selects (``linear``'s ``per_item_seconds: NonNegative``).
+    """
 
     name: Name = "linear"
     machine: str = "4790K"
     kernel_source: Literal["library", "tuned"] = "library"
-    options: dict = field(default_factory=dict)
+    options: _BatchCostOptions = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.api import components  # noqa: F401  (populates the registries)
-from repro.api.config import EngineConfig, load_config
+from repro.api.config import EngineConfig
 from repro.api.experiments import ExperimentResult
 from repro.api.registry import (
     ADMISSION_POLICIES,
@@ -91,10 +91,6 @@ class Engine:
         # The telemetry pipeline of the most recent serve() (None when the
         # config has no observability section).
         self.last_telemetry: TelemetryPipeline | None = None
-
-    @classmethod
-    def from_file(cls, path: str) -> "Engine":
-        return cls(load_config(path))
 
     # -- component builders -----------------------------------------------------
     @property

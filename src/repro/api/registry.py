@@ -180,12 +180,3 @@ def all_registries() -> dict[str, Registry]:
         "observers": OBSERVERS,
         "lint-rules": LINT_RULES,
     }
-
-
-def resolve(registry_key: str, name: str) -> Any:
-    """Convenience lookup across registries by plural key (CLI/debug helper)."""
-    registries = all_registries()
-    if registry_key not in registries:
-        known = ", ".join(sorted(registries))
-        raise KeyError(f"unknown registry {registry_key!r}; known: {known}")
-    return registries[registry_key].get(name)

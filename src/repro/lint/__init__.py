@@ -10,10 +10,10 @@ AST, at review time:
   unseeded-RNG calls in simulation paths, no set-iteration or bare
   ``.keys()`` ordering hazards in reporting code, no mutable default
   arguments anywhere;
-* **contracts** (:mod:`~repro.lint.contracts`) — registered component
-  knobs appear in the generated ``docs/reference.md``, example configs
-  validate against the config schema, ``Report`` subclasses are
-  kind-tagged frozen dataclasses;
+* **contracts** (:mod:`~repro.lint.contracts`) — ``Report`` subclasses
+  are kind-tagged frozen dataclasses (example configs and the generated
+  ``docs/reference.md`` are checked against the live code by the test
+  suite and ``repro docs --check`` instead);
 * **event dispatch** (:mod:`~repro.lint.pairing`) — every
   ``ServerEvent`` subtype is accounted for at each exhaustive dispatch
   site.

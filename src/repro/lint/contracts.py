@@ -1,223 +1,26 @@
-"""Contract rules: configs, docs, and reports must agree with the code.
+"""Contract rule: every report class must round-trip through the schema.
 
-The facade's promise (PR 2) is that a config file, the generated
-``docs/reference.md``, and the registered components are three views of
-one contract.  Dynamic checks (``python -m repro docs --check``, config
-``from_dict`` validation) only fire when the relevant code path runs;
-these rules re-state the contract statically over the AST so drift is
-caught at review time:
+Every :class:`~repro.api.reports.Report` subclass must be kind-tagged
+(``@report_type``) and frozen, so it round-trips through
+``Report.from_dict`` like the rest of the hierarchy.  No runtime check
+makes this one: a subclass missing either decorator serializes fine and
+fails only when a report of it is read back.
 
-* every decorator-registered component's constructor knobs appear in the
-  committed ``docs/reference.md`` entry of that component;
-* every key in every ``examples/configs/*.json`` resolves to a validated
-  config field (against the dataclass schema parsed out of
-  ``repro/api/config.py`` — free-form ``dict`` fields such as ``options``
-  accept anything, exactly like the runtime);
-* every :class:`~repro.api.reports.Report` subclass is kind-tagged
-  (``@report_type``) and frozen, so it round-trips through
-  ``Report.from_dict`` like the rest of the hierarchy.
+The facade's other two contracts are checked against the live code, not
+re-parsed here: ``tests/api/test_example_configs.py`` loads every
+``examples/configs/*.json`` through ``EngineConfig.from_dict``, and
+``python -m repro docs --check`` compares the committed
+``docs/reference.md`` with the reference rendered from the registries.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
 from typing import Iterable
 
 from repro.api.registry import LINT_RULES
 from repro.lint.findings import Finding
 from repro.lint.rules import LintContext
-
-#: Where the generated component reference lives, relative to the repo root.
-REFERENCE_MD = "docs/reference.md"
-
-#: Where the example scenario configs live, relative to the repo root.
-EXAMPLE_CONFIGS = "examples/configs"
-
-#: The config schema module, relative to the repo root.
-CONFIG_MODULE = "src/repro/api/config.py"
-
-#: The root config class every example file must validate against.
-ROOT_CONFIG_CLASS = "EngineConfig"
-
-
-def _reference_sections(text: str) -> dict[str, list[str]]:
-    """Component-name -> list of ``### `name``` section bodies in the docs."""
-    sections: dict[str, list[str]] = {}
-    matches = list(re.finditer(r"^### `([^`]+)`$", text, flags=re.MULTILINE))
-    for index, match in enumerate(matches):
-        end = matches[index + 1].start() if index + 1 < len(matches) else len(text)
-        sections.setdefault(match.group(1), []).append(text[match.start():end])
-    return sections
-
-
-@LINT_RULES.register("registry-knobs-documented")
-class RegistryKnobsDocumentedRule:
-    """Every registered component's knobs must appear in docs/reference.md.
-
-    ``python -m repro docs`` generates the reference from the *live*
-    registries; this rule checks the *committed* file against the AST, so a
-    component (or a new ``__init__`` knob) added without regenerating the
-    docs fails lint before the docs CI job ever runs.  Components named in
-    no section at all are flagged too.
-    """
-
-    rule_id = "registry-knobs-documented"
-    severity = "error"
-
-    def check(self, context: LintContext) -> Iterable[Finding]:
-        components = context.registered_components()
-        if not components:
-            return
-        reference = context.root / REFERENCE_MD
-        try:
-            sections = _reference_sections(reference.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            yield Finding(
-                rule=self.rule_id,
-                severity=self.severity,
-                path=REFERENCE_MD,
-                line=1,
-                message="docs/reference.md is missing but components are registered",
-                hint="run: python -m repro docs",
-            )
-            return
-        for component in components:
-            bodies = sections.get(component.name)
-            if bodies is None:
-                yield Finding(
-                    rule=self.rule_id,
-                    severity=self.severity,
-                    path=component.module.relpath,
-                    line=component.line,
-                    message=(
-                        f"registered component {component.name!r} "
-                        f"({component.class_name}) has no docs/reference.md entry"
-                    ),
-                    hint="run: python -m repro docs",
-                )
-                continue
-            for param in component.params or ():
-                if any(f"| `{param}` |" in body for body in bodies):
-                    continue
-                yield Finding(
-                    rule=self.rule_id,
-                    severity=self.severity,
-                    path=component.module.relpath,
-                    line=component.line,
-                    message=(
-                        f"knob {param!r} of registered component "
-                        f"{component.name!r} is not in its docs/reference.md entry"
-                    ),
-                    hint="run: python -m repro docs",
-                )
-
-
-class _ConfigSchema:
-    """The config dataclass schema, parsed statically out of config.py."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        #: class name -> {field name -> annotation source}
-        self.classes: dict[str, dict[str, str]] = {}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            fields: dict[str, str] = {}
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    fields[item.target.id] = ast.unparse(item.annotation)
-            if fields:
-                self.classes[node.name] = fields
-
-    def nested_class(self, annotation: str) -> str | None:
-        """The config class an annotation refers to, if any."""
-        for name in self.classes:
-            if re.search(rf"\b{name}\b", annotation):
-                return name
-        return None
-
-    def validate(self, class_name: str, data: object, prefix: str) -> list[str]:
-        """Unknown-key paths in ``data`` validated against ``class_name``."""
-        if not isinstance(data, dict):
-            return []
-        fields = self.classes.get(class_name, {})
-        if class_name == "SweepConfig" and data and not (set(data) & set(fields)):
-            return []  # legacy bare-grid form: every key is a dotted path
-        problems: list[str] = []
-        for key, value in data.items():
-            dotted = f"{prefix}.{key}" if prefix else str(key)
-            if key not in fields:
-                known = ", ".join(sorted(fields))
-                problems.append(
-                    f"unknown config key {dotted!r} (known {class_name} "
-                    f"fields: {known})"
-                )
-                continue
-            annotation = fields[key]
-            if "dict" in annotation.lower():
-                continue  # free-form mapping (options/overrides/grid/...)
-            nested = self.nested_class(annotation)
-            if nested is not None:
-                problems.extend(self.validate(nested, value, dotted))
-        return problems
-
-
-@LINT_RULES.register("example-configs-validate")
-class ExampleConfigSchemaRule:
-    """Every examples/configs/*.json key must map to a validated config field.
-
-    Replays the ``from_dict`` unknown-key rejection statically against the
-    dataclass schema parsed out of ``api/config.py``: a renamed config
-    field, a typo'd example key, or a section moved without updating the
-    examples fails lint without importing (or running) anything.
-    Free-form ``dict`` fields (``options``, ``overrides``, ``grid``) accept
-    arbitrary keys, exactly like the runtime validators.
-    """
-
-    rule_id = "example-configs-validate"
-    severity = "error"
-
-    def check(self, context: LintContext) -> Iterable[Finding]:
-        config_module = context.module(CONFIG_MODULE)
-        configs_dir = context.root / EXAMPLE_CONFIGS
-        if config_module is None or not configs_dir.is_dir():
-            return
-        schema = _ConfigSchema(config_module.tree)
-        if ROOT_CONFIG_CLASS not in schema.classes:
-            yield Finding(
-                rule=self.rule_id,
-                severity=self.severity,
-                path=CONFIG_MODULE,
-                line=1,
-                message=f"config module defines no {ROOT_CONFIG_CLASS} dataclass",
-                hint="the schema root moved; update repro.lint.contracts",
-            )
-            return
-        for path in sorted(configs_dir.glob("*.json")):
-            relpath = path.relative_to(context.root).as_posix()
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as error:
-                yield Finding(
-                    rule=self.rule_id,
-                    severity=self.severity,
-                    path=relpath,
-                    line=1,
-                    message=f"example config does not parse as JSON: {error}",
-                    hint="fix the file or remove it from examples/configs",
-                )
-                continue
-            for problem in schema.validate(ROOT_CONFIG_CLASS, data, ""):
-                yield Finding(
-                    rule=self.rule_id,
-                    severity=self.severity,
-                    path=relpath,
-                    line=1,
-                    message=problem,
-                    hint="example configs must load through "
-                    "EngineConfig.from_dict; fix the key or the schema",
-                )
 
 
 @LINT_RULES.register("reports-kind-tagged")

@@ -11,9 +11,8 @@ still works and the pass stays deterministic.
 
 The :class:`LintContext` carries everything a rule may need: every parsed
 module under the root (``src/repro/**/*.py``), the repo root for
-non-Python artifacts (``docs/reference.md``, ``examples/configs``), and
-shared AST helpers (import-alias-normalized dotted call names, decorator
-matching) so rules stay small.
+non-Python artifacts, and shared AST helpers (import-alias-normalized
+dotted call names, direct subclasses of a named base) so rules stay small.
 """
 
 from __future__ import annotations
@@ -84,70 +83,6 @@ class ParsedModule:
                 yield node
 
 
-def decorator_register_name(node: ast.expr) -> tuple[str, str] | None:
-    """Match a ``REGISTRY.register("name")`` decorator -> (registry, name).
-
-    Returns None for any other decorator shape (plain names, ``dataclass``
-    calls, registrations whose first argument is not a string literal).
-    """
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-        return None
-    if node.func.attr != "register" or not isinstance(node.func.value, ast.Name):
-        return None
-    if not node.args or not isinstance(node.args[0], ast.Constant):
-        return None
-    if not isinstance(node.args[0].value, str):
-        return None
-    return node.func.value.id, node.args[0].value
-
-
-def class_init_params(node: ast.ClassDef) -> list[str] | None:
-    """The constructor knobs of a class, from its AST alone.
-
-    A plain class contributes its ``__init__`` parameters (``self`` and
-    var-args excluded); a ``@dataclass`` without ``__init__`` contributes
-    its annotated fields (``ClassVar`` excluded).  Returns None when the
-    class has neither — its knobs are inherited and not this class's
-    contract.
-    """
-    for item in node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-            names = [arg.arg for arg in item.args.args[1:]]
-            names.extend(arg.arg for arg in item.args.kwonlyargs)
-            return names
-    is_dataclass = any(
-        (isinstance(dec, ast.Name) and dec.id == "dataclass")
-        or (
-            isinstance(dec, ast.Call)
-            and isinstance(dec.func, ast.Name)
-            and dec.func.id == "dataclass"
-        )
-        for dec in node.decorator_list
-    )
-    if not is_dataclass:
-        return None
-    fields: list[str] = []
-    for item in node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            annotation = ast.unparse(item.annotation)
-            if "ClassVar" in annotation:
-                continue
-            fields.append(item.target.id)
-    return fields
-
-
-@dataclass
-class RegisteredComponent:
-    """One ``@REGISTRY.register("name")`` site found in the tree."""
-
-    registry: str
-    name: str
-    class_name: str
-    params: list[str] | None
-    module: ParsedModule
-    line: int
-
-
 class LintContext:
     """Everything rules see: the parsed tree and shared cross-file facts."""
 
@@ -167,41 +102,6 @@ class LintContext:
             for module in self.modules
             if any(module.relpath.startswith(prefix) for prefix in prefixes)
         ]
-
-    def registered_components(self) -> list[RegisteredComponent]:
-        """Every decorator-registered component in the tree, in path order.
-
-        Covers registered classes (knobs = constructor parameters or
-        dataclass fields) and registered factory functions (knobs = their
-        parameters).  Presets registered by plain ``register(name, obj)``
-        calls are not collected — they have no constructor contract to lint.
-        """
-        components: list[RegisteredComponent] = []
-        for module in self.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                    continue
-                for decorator in node.decorator_list:
-                    match = decorator_register_name(decorator)
-                    if match is None:
-                        continue
-                    registry, name = match
-                    if isinstance(node, ast.ClassDef):
-                        params = class_init_params(node)
-                    else:
-                        params = [arg.arg for arg in node.args.args]
-                        params.extend(arg.arg for arg in node.args.kwonlyargs)
-                    components.append(
-                        RegisteredComponent(
-                            registry=registry,
-                            name=name,
-                            class_name=node.name,
-                            params=params,
-                            module=module,
-                            line=node.lineno,
-                        )
-                    )
-        return components
 
     def subclasses_of(self, base_name: str) -> Iterator[tuple[ParsedModule, ast.ClassDef]]:
         """Classes anywhere in the tree listing ``base_name`` as a direct base."""

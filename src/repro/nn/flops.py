@@ -234,11 +234,3 @@ def count_model_gflops(
 ) -> float:
     """Compute cost in units of 1e9 (the unit used throughout the paper)."""
     return count_model_flops(model, resolution, batch_size, convention=convention) / 1e9
-
-
-def conv_layer_workloads(
-    model: Module, resolution: int, batch_size: int = 1
-) -> list[LayerFlops]:
-    """Return only the convolution layer records (the autotuner's targets)."""
-    records = trace_model(model, (batch_size, 3, resolution, resolution))
-    return [r for r in records if r.layer_type == "Conv2d"]

@@ -88,15 +88,3 @@ def col2im(
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Convert integer labels ``(N,)`` into a one-hot matrix ``(N, num_classes)``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D array of class indices")
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):
-        raise ValueError("label out of range for num_classes")
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded

@@ -105,9 +105,6 @@ class Module:
             param.zero_grad()
 
     # -- children -----------------------------------------------------------
-    def named_children(self) -> Iterator[tuple[str, "Module"]]:
-        yield from self._modules.items()
-
     def children(self) -> Iterator["Module"]:
         yield from self._modules.values()
 

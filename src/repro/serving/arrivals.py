@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.api.registry import ARRIVALS
 from repro.api.schema import NonNegative, Positive, PositiveInt, check, checked
-from repro.serving.popularity import PopularityModel  # imports only the registry
+from repro.serving.popularity import PopularityModel, ZipfPopularity
 
 if TYPE_CHECKING:
     from repro.serving.workload import ArrivalStream
@@ -49,33 +49,14 @@ class Request:
     client_id: int | None = None
 
 
-def _key_probabilities(num_keys: int, zipf_alpha: float) -> np.ndarray:
-    """Popularity distribution over key ranks (rank 0 is the hottest key)."""
-    if num_keys <= 0:
-        raise ValueError("need at least one key")
-    if zipf_alpha == 0.0:
-        return np.full(num_keys, 1.0 / num_keys)
-    weights = (np.arange(num_keys) + 1.0) ** -zipf_alpha
-    return weights / weights.sum()
+def key_popularity(zipf_alpha: float, popularity: PopularityModel | None) -> PopularityModel:
+    """The model a process draws keys by, rank 0 the hottest key.
 
-
-def sample_keys(
-    rng: np.random.Generator,
-    keys: Sequence[str],
-    count: int,
-    zipf_alpha: float = 0.0,
-    popularity: PopularityModel | None = None,
-) -> list[str]:
-    """Draw ``count`` keys with replacement, skewed by rank popularity.
-
-    A ``popularity`` model takes precedence over the bare ``zipf_alpha``
-    shorthand (which is kept for backward compatibility and quick configs).
+    A ``popularity`` model takes precedence; the bare ``zipf_alpha``
+    shorthand (kept for quick configs) is ``ZipfPopularity(alpha=zipf_alpha)``,
+    where 0 is uniform.
     """
-    if popularity is not None:
-        return popularity.sample(rng, keys, count)
-    probabilities = _key_probabilities(len(keys), zipf_alpha)
-    chosen = rng.choice(len(keys), size=count, p=probabilities)
-    return [keys[int(index)] for index in chosen]
+    return popularity if popularity is not None else ZipfPopularity(alpha=zipf_alpha)
 
 
 class ArrivalProcess:
@@ -114,7 +95,7 @@ class PoissonArrivals(ArrivalProcess):
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(1.0 / self.rate_rps, size=num_requests)
         times = np.cumsum(gaps)
-        chosen = sample_keys(rng, keys, num_requests, self.zipf_alpha, self.popularity)
+        chosen = key_popularity(self.zipf_alpha, self.popularity).sample(rng, keys, num_requests)
         return ArrivalStream(times, chosen)
 
 
@@ -168,7 +149,7 @@ class OnOffArrivals(ArrivalProcess):
                     times.append(cursor)
             clock = phase_end
             on_phase = not on_phase
-        chosen = sample_keys(rng, keys, num_requests, self.zipf_alpha, self.popularity)
+        chosen = key_popularity(self.zipf_alpha, self.popularity).sample(rng, keys, num_requests)
         return ArrivalStream(np.array(times), chosen)
 
 
@@ -233,11 +214,9 @@ class ClosedLoopClients:
         population from scratch.
         """
         self._keys = list(keys)
-        self._key_probabilities = (
-            self.popularity.probabilities(len(self._keys))
-            if self.popularity is not None
-            else _key_probabilities(len(self._keys), self.zipf_alpha)
-        )
+        self._key_probabilities = key_popularity(
+            self.zipf_alpha, self.popularity
+        ).probabilities(len(self._keys))
         self._rng = np.random.default_rng(self._seed)
         self._issued = {}
         self._next_id = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.registry import BATCH_COSTS, BATCHERS
-from repro.api.schema import NonNegative, PositiveInt, checked
+from repro.api.schema import NonNegative, PositiveInt, check, checked
 from repro.hwsim.latency import ModelLatencyEstimator
 from repro.hwsim.machine import MachineModel
 from repro.nn.module import Module
@@ -41,8 +41,11 @@ class BatchCostModel:
 class LinearBatchCost(BatchCostModel):
     """Affine cost ``fixed + per_item * batch_size`` (fast; used in tests)."""
 
-    per_item_seconds: float = 0.001
-    fixed_seconds: float = 0.002
+    per_item_seconds: NonNegative = 0.001
+    fixed_seconds: NonNegative = 0.002
+
+    def __post_init__(self) -> None:
+        check(self)
 
     def batch_seconds(self, resolution: int, batch_size: int) -> float:
         if batch_size <= 0:

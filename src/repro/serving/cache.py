@@ -49,12 +49,6 @@ class CacheStats:
             return 0.0
         return (self.hits + self.partial_hits) / self.lookups
 
-    @property
-    def full_hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
 
 @dataclass(frozen=True)
 class CacheRead:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.api.registry import OBSERVERS
-from repro.api.schema import Name, NonNegative, NonNegativeInt, Positive, check
+from repro.api.schema import Name, NonNegative, NonNegativeInt, Positive, check, decode
 from repro.serving.events import (
     RequestAdmitted,
     RequestArrived,
@@ -77,21 +77,10 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceRecord":
-        unknown = sorted(set(data) - set(TRACE_FIELDS))
-        if unknown:
-            raise TraceFormatError(
-                f"unknown trace field(s): {', '.join(unknown)}; "
-                f"schema fields are: {', '.join(TRACE_FIELDS)}"
-            )
-        if "timestamp" not in data or "key" not in data:
-            missing = sorted({"timestamp", "key"} - set(data))
-            raise TraceFormatError(f"missing required field(s): {', '.join(missing)}")
-        return cls(
-            timestamp=data["timestamp"],
-            key=data["key"],
-            size_bytes=data.get("size_bytes"),
-            deadline_s=data.get("deadline_s"),
-        )
+        try:
+            return decode(cls, data)
+        except ValueError as error:
+            raise TraceFormatError(str(error)) from None
 
 
 def _format_of(path: str) -> str:

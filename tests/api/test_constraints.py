@@ -32,6 +32,7 @@ from repro.api.registry import (
     ADMISSION_POLICIES,
     ARRIVALS,
     AUTOSCALE_POLICIES,
+    BATCH_COSTS,
     BATCHERS,
     CACHES,
     FAULTS,
@@ -55,7 +56,7 @@ from repro.api.schema import (
 from repro.data.profiles import DatasetProfile
 from repro.serving.arrivals import ClosedLoopClients, OnOffArrivals, PoissonArrivals
 from repro.serving.autoscale import EwmaQueueAutoscaler, ThresholdAutoscaler
-from repro.serving.batcher import DynamicBatcher
+from repro.serving.batcher import DynamicBatcher, LinearBatchCost
 from repro.serving.cache import ScanCache
 from repro.serving.control import EwmaAdmissionController, NextScanPrefetcher
 from repro.serving.faults import (
@@ -144,6 +145,7 @@ EXPECTED: dict[Any, dict[str, Any]] = {
         "crop_ratio": Fraction,
     },
     DynamicBatcher: {"max_batch_size": PositiveInt, "max_wait_s": NonNegative},
+    LinearBatchCost: {"per_item_seconds": NonNegative, "fixed_seconds": NonNegative},
     ScanReadPolicy: {"ssim_thresholds": Thresholds},
     LoadAdaptiveResolutionPolicy: {
         "resolutions": Resolutions,
@@ -315,6 +317,11 @@ LOAD: dict[Any, tuple[str, str, dict[str, Any]]] = {
         "serving.arrivals.popularity.options",
         {"serving.arrivals.popularity": {"name": "zipf-mandelbrot"}},
     ),
+    LinearBatchCost: (
+        "serving_sharded",
+        "serving.batch_cost.options",
+        {"serving.batch_cost": {"name": "linear"}},
+    ),
     EwmaAdmissionController: ("serving_admission", "serving.admission.options", {}),
     NextScanPrefetcher: ("serving_prefetch", "serving.prefetch.options", {}),
     ThresholdAutoscaler: ("serving_autoscale", "serving.fleet.autoscale.options", {}),
@@ -342,6 +349,7 @@ REGISTRIES = (
     FAULTS,
     CACHES,
     BATCHERS,
+    BATCH_COSTS,
 )
 
 #: A key for a constrained-key mapping: a candidate resolution of every

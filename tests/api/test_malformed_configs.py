@@ -6,9 +6,9 @@ offending value's dotted path, and ``repro serve`` must turn that into one
 ``error:`` line and exit status 2 instead of a traceback.  The property
 walks every example config by the config classes' annotations, swaps one
 typed value for a value of the wrong JSON type, and checks the message.
-The ``options`` of the arrivals, popularity, admission, prefetch and
-autoscale sections are typed by the annotations of the component their
-``name`` selects, so the walk swaps those too.  The contents of the other
+The ``options`` of the arrivals, popularity, admission, prefetch,
+autoscale and batch-cost sections are typed by the annotations of the
+component their ``name`` selects, so the walk swaps those too.  The contents of the other
 free-form mappings (other sections' ``options``, ``store.overrides``,
 sweep-grid value lists, per-shard patches) are not typed, so they are not
 swapped; those ``options`` are checked when the engine builds the
@@ -216,6 +216,13 @@ PROBES = [
         math.nan,
         "serving.fleet.autoscale.options.high_rps_per_shard",
         "serving_autoscale",
+    ),
+    # A NaN linear batch cost ran and reported every shard at `req/s inf`.
+    (
+        "serving.batch_cost",
+        {"name": "linear", "options": {"per_item_seconds": math.nan}},
+        "serving.batch_cost.options.per_item_seconds",
+        "serving_sharded",
     ),
 ]
 PROBE_ARGS = [(*probe, "serving_bursty")[:4] for probe in PROBES]

@@ -11,7 +11,6 @@ from repro.api.registry import (
     RESOLUTION_POLICIES,
     Registry,
     all_registries,
-    resolve,
 )
 
 
@@ -100,10 +99,3 @@ class TestPopulatedRegistries:
     def test_all_registries_are_nonempty(self):
         for key, registry in all_registries().items():
             assert len(registry) > 0, f"registry {key} is empty"
-
-    def test_resolve_crosses_registries(self):
-        from repro.hwsim.machine import INTEL_4790K
-
-        assert resolve("machines", "4790K") is INTEL_4790K
-        with pytest.raises(KeyError):
-            resolve("nonexistent-registry", "x")

@@ -1,9 +1,8 @@
 """Shared helpers: materialize fixture sources into miniature repo roots.
 
 Rule tests never lint the live repo — each builds a throwaway root shaped
-like ``<tmp>/src/repro/...`` from the sources in ``fixtures/`` (plus inline
-artifacts such as ``docs/reference.md``), so every rule is exercised in
-isolation against a known set of violations.
+like ``<tmp>/src/repro/...`` from the sources in ``fixtures/``, so every
+rule is exercised in isolation against a known set of violations.
 """
 
 from __future__ import annotations

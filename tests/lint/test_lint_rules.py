@@ -8,26 +8,7 @@ construction stays clean.
 
 from __future__ import annotations
 
-import json
-
 from tests.lint.support import fixture, make_root, run_rule
-
-GOOD_REFERENCE = """\
-# Component reference
-
-### `widget`
-
-- class: `repro.serving.widget.Widget`
-- A toy registered component with two constructor knobs.
-
-| knob | default |
-|---|---|
-| `size` | *(required)* |
-| `rate` | `1.0` |
-"""
-
-# Identical section, but the `rate` knob row is missing.
-STALE_REFERENCE = GOOD_REFERENCE.replace("| `rate` | `1.0` |\n", "")
 
 
 class TestNoWallClock:
@@ -121,102 +102,6 @@ class TestNoMutableDefault:
             tmp_path, {"src/repro/api/defaults.py": fixture("mutable_default_ok.py")}
         )
         assert run_rule(root, "no-mutable-default").ok
-
-
-class TestRegistryKnobsDocumented:
-    def test_missing_knob_row_is_flagged(self, tmp_path):
-        root = make_root(
-            tmp_path,
-            {
-                "src/repro/serving/widget.py": fixture("knobs_component.py"),
-                "docs/reference.md": STALE_REFERENCE,
-            },
-        )
-        report = run_rule(root, "registry-knobs-documented")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert "'rate'" in finding.message and "'widget'" in finding.message
-        assert finding.path == "src/repro/serving/widget.py"
-
-    def test_missing_reference_file_is_flagged(self, tmp_path):
-        root = make_root(
-            tmp_path, {"src/repro/serving/widget.py": fixture("knobs_component.py")}
-        )
-        report = run_rule(root, "registry-knobs-documented")
-        assert [f.message for f in report.findings] == [
-            "docs/reference.md is missing but components are registered"
-        ]
-
-    def test_documented_component_is_clean(self, tmp_path):
-        root = make_root(
-            tmp_path,
-            {
-                "src/repro/serving/widget.py": fixture("knobs_component.py"),
-                "docs/reference.md": GOOD_REFERENCE,
-            },
-        )
-        assert run_rule(root, "registry-knobs-documented").ok
-
-    def test_call_registered_preset_has_no_contract(self, tmp_path):
-        # No decorator registration anywhere -> nothing to document, even
-        # with no reference file at all.
-        root = make_root(
-            tmp_path, {"src/repro/serving/preset.py": fixture("knobs_preset_ok.py")}
-        )
-        assert run_rule(root, "registry-knobs-documented").ok
-
-
-class TestExampleConfigsValidate:
-    def _root(self, tmp_path, config: dict) -> object:
-        return make_root(
-            tmp_path,
-            {
-                "src/repro/api/config.py": fixture("config_schema.py"),
-                "examples/configs/case.json": json.dumps(config),
-            },
-        )
-
-    def test_unknown_key_is_flagged_with_path(self, tmp_path):
-        root = self._root(tmp_path, {"seed": 1, "serving": {"num_request": 5}})
-        report = run_rule(root, "example-configs-validate")
-        assert len(report.findings) == 1
-        finding = report.findings[0]
-        assert finding.path == "examples/configs/case.json"
-        assert "unknown config key 'serving.num_request'" in finding.message
-        assert "num_requests" in finding.message  # lists the known fields
-
-    def test_known_keys_and_free_form_options_are_clean(self, tmp_path):
-        root = self._root(
-            tmp_path,
-            {
-                "seed": 1,
-                "serving": {
-                    "num_requests": 5,
-                    "cache": {"capacity_bytes": 10},
-                    "options": {"anything": True},
-                },
-            },
-        )
-        assert run_rule(root, "example-configs-validate").ok
-
-    def test_sweep_bare_grid_form_is_clean(self, tmp_path):
-        # Legacy sweep form: every key a dotted override path, none a field.
-        root = self._root(
-            tmp_path, {"sweep": {"serving.cache.policy": ["lru", "scan-lru"]}}
-        )
-        assert run_rule(root, "example-configs-validate").ok
-
-    def test_unparseable_json_is_flagged(self, tmp_path):
-        root = make_root(
-            tmp_path,
-            {
-                "src/repro/api/config.py": fixture("config_schema.py"),
-                "examples/configs/broken.json": "{not json",
-            },
-        )
-        report = run_rule(root, "example-configs-validate")
-        assert len(report.findings) == 1
-        assert "does not parse as JSON" in report.findings[0].message
 
 
 class TestReportsKindTagged:

@@ -7,7 +7,6 @@ from repro.nn.flops import (
     conv2d_macs,
     count_model_flops,
     count_model_gflops,
-    conv_layer_workloads,
     trace_model,
 )
 from repro.nn.layers.conv import Conv2d
@@ -95,12 +94,6 @@ class TestTraceAndConventions:
         for record in records:
             assert len(record.input_shape) in (2, 4)
             assert record.macs >= 0
-
-    def test_conv_layer_workloads_filters_only_convs(self, r50):
-        workloads = conv_layer_workloads(r50, 224)
-        assert all(w.layer_type == "Conv2d" for w in workloads)
-        # ResNet-50: 1 stem + 3*3 + 4*3 + 6*3 + 3*3 block convs + 4 downsample = 53.
-        assert len(workloads) == 53
 
     def test_batch_size_scales_counts_linearly(self, r18):
         single = count_model_flops(r18, 224, batch_size=1)

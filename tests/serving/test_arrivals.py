@@ -9,7 +9,7 @@ from repro.serving.arrivals import (
     ClosedLoopClients,
     OnOffArrivals,
     PoissonArrivals,
-    sample_keys,
+    key_popularity,
 )
 
 KEYS = [f"img{i}" for i in range(8)]
@@ -89,9 +89,9 @@ class TestOnOffArrivals:
 class TestZipfSampling:
     def test_skew_concentrates_on_low_ranks(self):
         rng = np.random.default_rng(0)
-        uniform = sample_keys(rng, KEYS, 4000, zipf_alpha=0.0)
+        uniform = key_popularity(0.0, None).sample(rng, KEYS, 4000)
         rng = np.random.default_rng(0)
-        skewed = sample_keys(rng, KEYS, 4000, zipf_alpha=1.5)
+        skewed = key_popularity(1.5, None).sample(rng, KEYS, 4000)
         assert skewed.count(KEYS[0]) > 2 * uniform.count(KEYS[0])
 
 

@@ -46,10 +46,11 @@ from repro.imaging.synthetic import SceneSpec, render_scene
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
 from repro.obs.metrics import MetricsCollector
-from repro.serving.arrivals import OnOffArrivals, PoissonArrivals, _key_probabilities
+from repro.serving.arrivals import OnOffArrivals, PoissonArrivals
 from repro.serving.batcher import BatchCostModel, LinearBatchCost
 from repro.serving.cache import ScanCache
 from repro.serving.fleet import ShardedFleet
+from repro.serving.popularity import ZipfPopularity
 from repro.serving.server import InferenceServer, ServerConfig
 from repro.serving.workload import ArrivalStream
 from repro.storage.bandwidth import StorageBandwidthModel
@@ -258,7 +259,7 @@ def test_fleet_shard_waits_match_pollaczek_khinchine(num_shards, zipf_alpha, rat
     )
     report = fleet.run(trace)
 
-    probability = dict(zip(keys, _key_probabilities(len(keys), zipf_alpha)))
+    probability = dict(zip(keys, ZipfPopularity(alpha=zipf_alpha).probabilities(len(keys))))
     expected_fleet = 0.0
     for shard_id, server in enumerate(servers):
         share = sum(probability[key] for key in keys if fleet.router.route(key) == shard_id)

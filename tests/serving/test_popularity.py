@@ -11,7 +11,7 @@ import pytest
 
 from repro.api.config import PopularityConfig
 from repro.api.registry import POPULARITY
-from repro.serving.arrivals import PoissonArrivals, sample_keys
+from repro.serving.arrivals import PoissonArrivals, key_popularity
 from repro.serving.popularity import (
     CDN_POPULARITY_CDFS,
     CalibratedPopularity,
@@ -157,11 +157,9 @@ class TestFacadeWiring:
         hot = sum(1 for request in skewed if request.key == "img0")
         assert hot > sum(1 for request in flat if request.key == "img0")
 
-    def test_sample_keys_model_takes_precedence_over_alpha(self):
+    def test_a_model_takes_precedence_over_alpha(self):
         rng = np.random.default_rng(3)
-        chosen = sample_keys(
-            rng, KEYS, 200, zipf_alpha=0.0, popularity=ZipfPopularity(alpha=3.0)
-        )
+        chosen = key_popularity(0.0, ZipfPopularity(alpha=3.0)).sample(rng, KEYS, 200)
         assert chosen.count("img0") > 100
 
     def test_popularity_config_validation(self):

@@ -57,7 +57,7 @@ class TestTraceRecordValidation:
             TraceRecord(timestamp=0.0, key="img0", deadline_s=0.0)
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(TraceFormatError, match="unknown trace field"):
+        with pytest.raises(TraceFormatError, match=r"unknown TraceRecord field\(s\): nope;"):
             TraceRecord.from_dict({"timestamp": 0.0, "key": "img0", "nope": 1})
 
     def test_from_dict_rejects_missing_required_fields(self):
