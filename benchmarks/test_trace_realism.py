@@ -139,7 +139,7 @@ def run_scenarios():
     )
     replay = TraceReplayArrivals(records=diurnal_trace)
     reports["diurnal-replay"] = replay_engine.serve(
-        replay.trace(store.keys(), len(diurnal_trace))
+        replay.stream(store.keys(), len(diurnal_trace))
     )
     return reports
 

@@ -265,7 +265,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.serving.arrivals import ClosedLoopClients
     from repro.serving.traces import TraceRecorder
 
     engine = Engine(load_config(args.config))
@@ -284,11 +283,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
     recorder = TraceRecorder()
     server = engine.build_server()
     server.subscribe(recorder)
-    traffic = engine.build_trace()
-    if isinstance(traffic, ClosedLoopClients):
-        server.run_closed_loop(traffic, engine.build_store().keys())
-    else:
-        server.run(traffic)
+    server.run(engine.build_trace())
     count = recorder.save(args.out)
     records = recorder.records
     span = records[-1].timestamp - records[0].timestamp if count > 1 else 0.0

@@ -18,9 +18,10 @@ not mid-run.  A directly built section checks the same annotations, and
 Component *names* are resolved at build time, except that the arrivals,
 popularity, admission, prefetch, autoscale and batch-cost sections resolve
 theirs at load (importing the components) to read their ``options``
-through the component's own annotations; an unregistered name, an unknown
-option and every other section's options fail when the engine builds the
-component.
+through the component's own annotations, where an option that repeats a
+field of its section or names an object the engine builds fails too; an
+unregistered name, an unknown option and every other section's options
+fail when the engine builds the component.
 """
 
 from __future__ import annotations
@@ -239,13 +240,6 @@ class ArrivalsConfig(_DictMixin):
                 self.popularity is None,
                 "arrivals.popularity does not apply to 'replay' (the trace "
                 "already carries its keys)",
-            )
-            duplicated = {"trace_path", "speedup"} & set(self.options)
-            _require(
-                not duplicated,
-                f"arrivals.options duplicates dedicated field(s): "
-                f"{', '.join(sorted(duplicated))}; set them on the arrivals "
-                "section itself",
             )
         else:
             _require(

@@ -24,7 +24,6 @@ and benchmark shims do this to serve one store under many policies).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from repro.api import components  # noqa: F401  (populates the registries)
 from repro.api.config import EngineConfig
@@ -50,7 +49,7 @@ from repro.core.scale_model import ScaleModelPredictor
 from repro.data.dataset import SyntheticDataset
 from repro.nn.module import Module
 from repro.obs.exporters import TelemetryPipeline
-from repro.serving.arrivals import ClosedLoopClients, Request
+from repro.serving.arrivals import ClosedLoopClients
 from repro.serving.batcher import BatchCostModel
 from repro.serving.cache import ScanCache
 from repro.serving.control import AdmissionPolicy, PrefetchPolicy
@@ -58,7 +57,7 @@ from repro.serving.fleet import ConsistentHashRouter, FleetReport, ShardedFleet
 from repro.serving.metrics import SLOReport
 from repro.serving.popularity import PopularityModel
 from repro.serving.server import InferenceServer, ServerConfig
-from repro.serving.workload import DiurnalArrivals
+from repro.serving.workload import ArrivalStream, DiurnalArrivals
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
@@ -349,13 +348,12 @@ class Engine:
             )
         return process
 
-    def build_trace(self) -> Sequence[Request] | ClosedLoopClients:
-        """The configured traffic: a pre-generated trace, or closed-loop clients.
+    def build_trace(self) -> ArrivalStream | ClosedLoopClients:
+        """The configured traffic: a pre-generated stream, or closed-loop clients.
 
         Open-loop traffic comes back as a columnar
-        :class:`~repro.serving.workload.ArrivalStream` (still a
-        ``Sequence[Request]``), so the server's cursor merge and the fleet's
-        index partition apply.
+        :class:`~repro.serving.workload.ArrivalStream`, the form the
+        server's arrival cursor and the fleet's index partition read.
         """
         serving = self._serving_section()
         process = self.build_arrivals(serving)
@@ -372,7 +370,7 @@ class Engine:
 
     # -- the three verbs ----------------------------------------------------------
     def serve(
-        self, trace: Sequence[Request] | ClosedLoopClients | None = None
+        self, trace: ArrivalStream | ClosedLoopClients | None = None
     ) -> SLOReport | FleetReport:
         """Serve the configured (or given) traffic; returns the SLO report.
 
@@ -408,10 +406,7 @@ class Engine:
         if pipeline is not None:
             pipeline.attach(server)
         try:
-            if isinstance(traffic, ClosedLoopClients):
-                report = server.run_closed_loop(traffic, self.build_store().keys())
-            else:
-                report = server.run(traffic)
+            report = server.run(traffic)
         finally:
             if pipeline is not None:
                 pipeline.detach(server)

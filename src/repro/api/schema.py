@@ -19,7 +19,9 @@ Constraints are annotations too: :class:`Range` bounds a number (which
 must then be finite), ``Literal`` lists choices, :class:`NonEmpty` refuses
 an empty string or list; shared ones are named once below (``Positive``).
 :func:`check` and :func:`checked` apply them to directly built objects,
-and an :class:`Options` mapping is read through its factory's annotations.
+and an :class:`Options` mapping is read through its factory's annotations,
+where a key that repeats a field of its own section, or names a parameter
+with no plain form (a live object the engine builds), is an error.
 
 Every error is a :class:`ValueError` naming the dotted path of the
 offending value (``serving.fleet.faults[0].name``), so a bad config file
@@ -163,7 +165,7 @@ def check(obj: Any, path: str = "") -> None:
     for name, read in _readers(type(obj), constrained=True).items():
         read(getattr(obj, name), _join(path, name))
     for name, marker in _options_fields(type(obj)):
-        _read_options(marker, obj.name, getattr(obj, name), _join(path, name))
+        _read_options(marker, type(obj), obj.name, getattr(obj, name), _join(path, name))
 
 
 def checked(init: _Init) -> _Init:
@@ -376,7 +378,7 @@ def _section_reader(cls: type) -> _Reader:
         for key, marker in options:
             if key in values:
                 section_name = values.get("name", default_name)
-                _read_options(marker, section_name, values[key], _join(path, key))
+                _read_options(marker, cls, section_name, values[key], _join(path, key))
         return cls(**values)
 
     return read_section
@@ -407,22 +409,40 @@ def _options_fields(cls: type) -> list[tuple[str, Options]]:
 def _readers(owner: Any, constrained: bool) -> dict[str, _Reader]:
     """A reader per annotation of a class or function (constrained ones only, if so).
 
-    An unconstrained parameter typed as a live object (a popularity model,
-    a base process) has no plain form and gets no reader.
+    An unconstrained parameter typed as a live object (a model, a
+    popularity model, a base process) has no plain form: its reader
+    refuses every value, because the engine builds that object itself.
     """
     readers: dict[str, _Reader] = {}
     for name, annotation in _hints(owner).items():
         if _constrained(annotation):
             readers[name] = _reader(annotation)
-        elif not constrained:
-            with contextlib.suppress(TypeError):
+        elif not constrained and name != "return":
+            try:
                 readers[name] = _reader(annotation)
+            except TypeError:
+                readers[name] = _refuse_live_object
     return readers
 
 
-def _read_options(marker: Options, name: Any, options: dict, path: str) -> None:
+def _refuse_live_object(data: Any, path: str) -> typing.NoReturn:
+    raise ValueError(f"{path} has no plain form: the engine builds this object itself")
+
+
+def _read_options(marker: Options, section: type, name: Any, options: dict, path: str) -> None:
+    """Read ``section``'s ``options`` at ``path`` through its factory's annotations.
+
+    The engine passes the section's own fields beside the options, so an
+    option may not repeat one.
+    """
     factory = marker.resolve(name)
     readers = _readers(_init(factory), constrained=False) if factory is not None else {}
+    fields = {field.name for field in dataclasses.fields(section)}
     for key, value in options.items():
+        if key in fields:
+            raise ValueError(
+                f"{_join(path, key)} duplicates dedicated field "
+                f"{_join(path.rpartition('.')[0], key)}; set it on the section itself"
+            )
         if key in readers:
             readers[key](value, _join(path, key))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 class ProfileStats:
     """One run's simulator-speed measurements.
 
-    ``events`` counts discrete-event heap pops; ``self_seconds`` maps each
+    ``events`` counts arrivals and heap pops; ``self_seconds`` maps each
     instrumented component to its exclusive wall time; ``sim_seconds`` is
     the span of simulated time covered, so ``sim_time_ratio`` (sim seconds
     per wall second) says how much faster than real time the simulator
@@ -66,7 +66,7 @@ class Profiler:
     """Scoped wall-clock timers plus event/request counters for one run.
 
     The server calls :meth:`start_run`/:meth:`stop_run` around its event
-    loop, bumps :attr:`events` per heap pop, and wraps component calls in
+    loop, adds its event count to :attr:`events`, and wraps component calls in
     :meth:`scope`.  Profilers merge (:meth:`merge`) by summing, which is
     how a fleet's per-shard profilers fold into one fleet-wide view —
     shards simulate sequentially in wall time, so summed wall seconds stay

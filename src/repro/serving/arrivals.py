@@ -11,6 +11,8 @@ Three traffic shapes cover the serving evaluation:
   for their previous response plus an exponential think time before issuing
   the next request (interactive-user traffic; throughput is self-limiting).
 
+Open-loop processes pre-generate an :class:`~repro.serving.workload.ArrivalStream`;
+closed-loop clients go to ``InferenceServer.run`` as they are.
 All processes are seeded and fully deterministic: the same seed produces
 byte-identical traces, which is what makes serving runs reproducible.
 Keys are drawn from the store's key set either uniformly, with a bare Zipf
@@ -60,19 +62,11 @@ def key_popularity(zipf_alpha: float, popularity: PopularityModel | None) -> Pop
 
 
 class ArrivalProcess:
-    """Interface: produce a deterministic open-loop trace over store keys.
-
-    :meth:`stream` is the one primitive a process implements; :meth:`trace`
-    is the same arrivals as ``Request`` objects.
-    """
+    """Interface: produce a deterministic open-loop trace over store keys."""
 
     def stream(self, keys: Sequence[str], num_requests: int) -> "ArrivalStream":
         """The trace in columnar form (an ``ArrivalStream``)."""
         raise NotImplementedError
-
-    def trace(self, keys: Sequence[str], num_requests: int) -> list[Request]:
-        """The trace as ``Request`` objects, arrival for arrival."""
-        return list(self.stream(keys, num_requests))
 
 
 @ARRIVALS.register("poisson")

@@ -375,17 +375,6 @@ def _p99_ms(latencies_ms: np.ndarray) -> float | None:
     return float(np.percentile(latencies_ms, 99)) if len(latencies_ms) else None
 
 
-def _as_stream(trace: Sequence[Request]) -> ArrivalStream:
-    """The trace in columnar form (a stream is returned as is)."""
-    if isinstance(trace, ArrivalStream):
-        return trace
-    return ArrivalStream(
-        [request.arrival_time for request in trace],
-        [request.key for request in trace],
-        [request.request_id for request in trace],
-    )
-
-
 def _arrival_order(stream: ArrivalStream) -> ArrivalStream:
     """``stream`` sorted by (arrival time, request id).
 
@@ -511,7 +500,7 @@ class ShardedFleet:
         """The most recent run's completions as objects, in request-id order."""
         return sorted(self.last_records.materialize(), key=lambda r: r.request_id)
 
-    def partition(self, trace: Sequence[Request]) -> dict[int, ArrivalStream]:
+    def partition(self, stream: ArrivalStream) -> dict[int, ArrivalStream]:
         """Split a trace by routed shard, preserving arrival order per shard.
 
         Returns one sub-stream per live shard, keyed by shard id in id
@@ -520,7 +509,6 @@ class ShardedFleet:
         request.  Sub-streams are columnar, so each shard's event loop
         merges them through its arrival cursor.
         """
-        stream = _as_stream(trace)
         router = self.router
         if router.replicas == 1:
             route_of = {key: router.route(key) for key in dict.fromkeys(stream.keys)}
@@ -537,7 +525,7 @@ class ShardedFleet:
         }
 
     # -- the run -----------------------------------------------------------------
-    def run(self, trace: Sequence[Request], telemetry_factory=None) -> FleetReport:
+    def run(self, trace: ArrivalStream, telemetry_factory=None) -> FleetReport:
         """Serve the trace across the fleet and fold the shard tallies.
 
         The trace is served in segments cut at every fault edge and
@@ -553,7 +541,7 @@ class ShardedFleet:
         Shards share one simulated timeline, so merged windows align by
         index and fleet-wide per-window percentiles are true merges.
         """
-        pending = _arrival_order(_as_stream(trace))
+        pending = _arrival_order(trace)
         if not len(pending):
             raise ValueError("cannot serve an empty trace")
         horizon = float(pending.times[-1])
@@ -628,7 +616,10 @@ class ShardedFleet:
         # Whatever is still pending never found a live shard: the fleet is down.
         fleet_down = len(pending) - cursor
         self.last_dropped.extend(
-            (pending[index], FLEET_DOWN) for index in range(cursor, len(pending))
+            (Request(int(request_id), key, float(time)), FLEET_DOWN)
+            for request_id, key, time in zip(
+                pending.request_ids[cursor:], pending.keys[cursor:], pending.times[cursor:]
+            )
         )
         self.last_events = topology.events
         self.last_telemetry = None

@@ -62,13 +62,13 @@ every mechanism below:
   columnarized into a :class:`~repro.serving.metrics.RequestRecords`
   (typed arrays) at once; a :class:`ServedRequest` object is built only to
   ride inside a :class:`RequestCompleted` event, when events are on;
-* *cursor-merged arrivals* — a sorted open-loop
-  :class:`~repro.serving.workload.ArrivalStream` is consumed through an
+* *cursor-merged arrivals* — open-loop traffic is always an
+  :class:`~repro.serving.workload.ArrivalStream`, consumed through an
   index cursor merged against the heap (arrivals win time ties, as if
   each had been pushed before every runtime event), so a million-request
-  trace never materializes a million heap entries up front.  The cursor
-  reads ``array`` copies of the stream's columns, which index to plain
-  Python scalars;
+  trace never materializes a million heap entries up front; the heap
+  carries only closed-loop arrivals.  The cursor reads ``array`` copies
+  of the stream's columns, which index to plain Python scalars;
 * *a lean per-request path* — a cursor-fed arrival builds a ``Request``
   only when something consumes one (an observer, or an admission policy
   other than always-admit): the in-flight record, a ``__slots__`` class,
@@ -296,8 +296,8 @@ class InferenceServer:
         # them as objects on demand).
         self.last_records = RequestRecords()
         self._last_served: list[ServedRequest] | None = None
-        # Wall-clock instrumentation (repro.obs.profiling.Profiler); None keeps
-        # the hot path at one identity check per heap pop.
+        # Wall-clock instrumentation (repro.obs.profiling.Profiler); None
+        # keeps its scopes off the hot path.
         self.profiler = profiler
         # Memo tables over reproducible inputs (bounded LRU); they persist
         # across runs like cache contents do — the memoized stages are
@@ -308,7 +308,7 @@ class InferenceServer:
         # rest per (key, resolution) in one LRU table per link.
         self._stage1_plans: "OrderedDict[str, _Stage1Plan]" = OrderedDict()
         self._read_plans: "OrderedDict[StorageBandwidthModel, OrderedDict]" = OrderedDict()
-        # Resolved once per run (see _run): whether the run emits event
+        # Resolved once per run (see run): whether the run emits event
         # objects (the loop skips construction when nobody is listening),
         # whether the policy is dynamic, and the current link's plan table.
         self._emit_on = True
@@ -644,21 +644,12 @@ class InferenceServer:
         return predictions
 
     # -- the event loop -----------------------------------------------------------
-    def run(self, trace: Sequence[Request]) -> SLOReport:
-        """Serve a pre-generated open-loop trace."""
-        if not trace:
-            raise ValueError("cannot serve an empty trace")
-        return self._run(trace, clients=None)
+    def run(self, traffic: ArrivalStream | ClosedLoopClients) -> SLOReport:
+        """Serve open-loop arrivals, or closed-loop clients over the store's keys.
 
-    def run_closed_loop(
-        self, clients: ClosedLoopClients, keys: Sequence[str]
-    ) -> SLOReport:
-        """Serve a closed-loop client population over the given keys."""
-        return self._run(clients.start(keys), clients=clients)
-
-    def _run(
-        self, initial: Sequence[Request], clients: ClosedLoopClients | None
-    ) -> SLOReport:
+        A stream is served in time order: one whose times are out of order
+        is stable-sorted first, so tied arrivals keep their stream order.
+        """
         config = self.config
         batcher = DynamicBatcher(config.max_batch_size, config.max_wait_s)
         heap: list[tuple[float, int, str, object]] = []
@@ -666,6 +657,25 @@ class InferenceServer:
 
         def push(time: float, kind: str, payload: object) -> None:
             heapq.heappush(heap, (time, next(ticket), kind, payload))
+
+        # Open-loop arrivals come off an index cursor merged against the
+        # heap (arrivals win time ties: `<=` below) over array copies of the
+        # stream's columns, which index to Python scalars without boxing.
+        # Closed-loop arrivals depend on completions, so they ride the heap.
+        clients: ClosedLoopClients | None = None
+        if isinstance(traffic, ClosedLoopClients):
+            clients, traffic = traffic, ArrivalStream(np.empty(0), [])
+            for request in clients.start(self.store.keys()):
+                push(request.arrival_time, _ARRIVAL, request)
+        elif not len(traffic):
+            raise ValueError("cannot serve an empty trace")
+        elif not (traffic.times[1:] >= traffic.times[:-1]).all():
+            traffic = traffic.take(np.argsort(traffic.times, kind="stable"))
+        times = array("d", traffic.times.tobytes())
+        ids = array("q", traffic.request_ids.tobytes())
+        keys = traffic.keys
+        num_pending = len(times)
+        cursor = 0
 
         # Dispatch decisions for this run.  An observer is active iff its
         # class overrides ServerObserver.on_event; a prefetch policy that
@@ -696,23 +706,6 @@ class InferenceServer:
                 links.popitem(last=False)
         else:
             ingest = self._ingest_cached
-
-        # A sorted open-loop ArrivalStream is consumed through an index
-        # cursor merged against the heap instead of pre-heaping N entries.
-        # Pre-pushed arrivals hold tickets 0..N-1 and therefore win every
-        # time tie against runtime events; `<=` below preserves exactly
-        # that ordering.  The cursor reads array copies of the columns,
-        # which index to Python floats and ints without numpy boxing.
-        times, ids, keys = array("d"), array("q"), []
-        if clients is None and isinstance(initial, ArrivalStream) and initial.is_sorted:
-            times = array("d", initial.times.tobytes())
-            ids = array("q", initial.request_ids.tobytes())
-            keys = initial.keys
-        else:
-            for request in initial:
-                push(request.arrival_time, _ARRIVAL, request)
-        num_pending = len(times)
-        cursor = 0
 
         records = RequestRecords()
         # Completions as ServedRequest-ordered row tuples, columnarized into
@@ -760,11 +753,9 @@ class InferenceServer:
         now = 0.0
         request: Request | None
         while heap or cursor < num_pending:
-            if profiler is not None:
-                profiler.events += 1
             if cursor < num_pending and (not heap or times[cursor] <= heap[0][0]):
-                # Cursor-merged arrival: ties go to the arrival, matching
-                # the lower tickets pre-pushed arrivals hold.
+                # Cursor-merged arrival: ties go to the arrival, as if every
+                # arrival had been pushed before any runtime event.
                 now = times[cursor]
                 request_id = ids[cursor]
                 key = keys[cursor]
@@ -823,7 +814,7 @@ class InferenceServer:
                         queued_resolution, queued_items = dispatch_queue.popleft()
                         start_batch(queued_resolution, queued_items, now)
                     continue
-                # A heap-fed arrival (a trace or a closed-loop client).
+                # A heap-fed arrival: a closed-loop client's request.
                 request = payload
                 request_id = request.request_id
                 key = request.key
@@ -886,6 +877,8 @@ class InferenceServer:
 
         records.extend_rows(rows)
         if profiler is not None:
+            # Every arrival from the cursor, and every push, popped once.
+            profiler.events += num_pending + next(ticket)
             profiler.completed_requests += len(records)
             profiler.stop_run(sim_seconds=now)
 

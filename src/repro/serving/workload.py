@@ -14,14 +14,11 @@ production-like load do to the server":
   through the inverse of the envelope's cumulative intensity, so the base
   process's seed is the only randomness and runs stay deterministic.
 
-It also defines :class:`ArrivalStream`, the one arrival representation
-every open-loop process produces: one float64 array of arrival times, one
-key list, one int64 id array, pre-generated with numpy instead of one
-``Request`` object per arrival.  A stream is still a ``Sequence[Request]``
-(items materialize lazily), so object consumers keep working; the server's
-cursor merge and the fleet's partition read the arrays directly.  Each
-process implements ``stream()`` only; ``trace()`` is derived from it once,
-in :class:`~repro.serving.arrivals.ArrivalProcess`.
+It also defines :class:`ArrivalStream`, the one form open-loop traffic
+takes: one float64 array of arrival times, one key list, one int64 id
+array, pre-generated with numpy instead of one ``Request`` object per
+arrival.  Every process's ``stream()`` returns one, the fleet partitions
+it by index, and the server's arrival cursor reads its arrays directly.
 
 Everything here is registered in :data:`~repro.api.registry.ARRIVALS` and
 wired through the ``serving.arrivals`` config section (``trace_path``,
@@ -44,18 +41,15 @@ from repro.serving.traces import TraceRecord, load_trace
 ReplayMode = Literal["truncate", "loop"]
 
 
-class ArrivalStream(Sequence):
+class ArrivalStream:
     """A pre-generated open-loop trace in columnar form.
 
     ``times`` (float64) and ``request_ids`` (int64) are numpy arrays;
-    ``keys`` is a list of store keys, index-aligned.  Client ids are always
-    ``None`` — closed-loop traffic cannot be pre-generated.  Indexing
-    materializes :class:`~repro.serving.arrivals.Request` objects, so a
-    stream drops into any ``Sequence[Request]`` consumer; the server's
-    event loop instead walks the arrays directly.
+    ``keys`` is a list of store keys, index-aligned.  There are no client
+    ids: closed-loop traffic cannot be pre-generated.
     """
 
-    __slots__ = ("times", "keys", "request_ids", "_sorted")
+    __slots__ = ("times", "keys", "request_ids")
 
     def __init__(
         self,
@@ -77,15 +71,6 @@ class ArrivalStream(Sequence):
                 raise ValueError(
                     f"got {len(self.keys)} arrivals but {len(self.request_ids)} ids"
                 )
-        self._sorted: bool | None = None
-
-    @property
-    def is_sorted(self) -> bool:
-        """Whether arrival times are non-decreasing (cached; the cursor-merge
-        precondition — unsorted streams fall back to the heap)."""
-        if self._sorted is None:
-            self._sorted = bool(np.all(np.diff(self.times) >= 0.0)) if len(self) > 1 else True
-        return self._sorted
 
     def take(self, indices: np.ndarray) -> "ArrivalStream":
         """The sub-stream at ``indices`` (order preserved, ids kept)."""
@@ -98,22 +83,10 @@ class ArrivalStream(Sequence):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return Request(
-            request_id=int(self.request_ids[index]),
-            key=self.keys[index],
-            arrival_time=float(self.times[index]),
-        )
-
     def __iter__(self) -> Iterator[Request]:
-        for i in range(len(self)):
-            yield Request(
-                request_id=int(self.request_ids[i]),
-                key=self.keys[i],
-                arrival_time=float(self.times[i]),
-            )
+        """The arrivals as ``Request`` objects, for inspection only: the
+        server and the fleet read the columns."""
+        return map(Request, self.request_ids.tolist(), self.keys, self.times.tolist())
 
 
 @ARRIVALS.register("replay")
@@ -152,7 +125,7 @@ class TraceReplayArrivals(ArrivalProcess):
     def load_records(self) -> list[TraceRecord]:
         """The trace records, sorted by timestamp (stable for ties).
 
-        File parsing is memoized on the instance: calling ``trace`` (or a
+        File parsing is memoized on the instance: calling ``stream`` (or a
         CLI that needs the record count) repeatedly reads the file once.
         The cache lives outside the dataclass fields, so equality and repr
         are untouched.

@@ -224,6 +224,27 @@ PROBES = [
         "serving.batch_cost.options.per_item_seconds",
         "serving_sharded",
     ),
+    # Options that repeat a field of their own section, or name an object
+    # the engine builds: the engine passed both to one call, and `repro
+    # serve` exited 1 with a TypeError or AttributeError traceback.
+    (
+        "serving.batch_cost.options.kernel_source",
+        "tuned",
+        "serving.batch_cost.options.kernel_source",
+        "serving_sharded",
+    ),
+    (
+        "serving.batch_cost.options.model",
+        "resnet18",
+        "serving.batch_cost.options.model",
+        "serving_sharded",
+    ),
+    (
+        "serving.arrivals.options.popularity",
+        {"name": "zipf"},
+        "serving.arrivals.options.popularity",
+        "serving_sharded",
+    ),
 ]
 PROBE_ARGS = [(*probe, "serving_bursty")[:4] for probe in PROBES]
 

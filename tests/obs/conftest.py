@@ -72,7 +72,7 @@ def make_trace(obs_store):
     """Factory for a seeded Poisson trace over the shared store's keys."""
 
     def _make(n=24, rate_rps=900.0, seed=5):
-        return PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=1.0).trace(
+        return PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=1.0).stream(
             obs_store.keys(), n
         )
 

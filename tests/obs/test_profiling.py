@@ -2,9 +2,19 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.obs.profiling import Profiler, ProfileStats
+from repro.serving.arrivals import ClosedLoopClients
+from repro.serving.control import AdmissionDecision, AdmissionPolicy
+
+
+class _DropEveryThird(AdmissionPolicy):
+    def admit(self, request, now, queue_depth):
+        if request.request_id % 3 == 2:
+            return AdmissionDecision.drop("every-third")
+        return AdmissionDecision.admit()
 
 
 class TestScopes:
@@ -99,6 +109,36 @@ class TestServerIntegration:
         for name in ("storage-read", "batch-pricing", "backbone-execute"):
             assert name in stats.self_seconds, name
             assert stats.self_seconds[name] >= 0.0
+
+    @pytest.mark.parametrize("drops", [False, True])
+    @pytest.mark.parametrize("traffic", ["stream", "closed-loop"])
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    def test_events_are_arrivals_enqueues_completions_and_timers(
+        self, make_server, make_trace, max_batch_size, traffic, drops
+    ):
+        """One event per arrival, per admitted request's enqueue and per
+        batch's completion, plus one flush timer per batch when a batch
+        can hold more than one request."""
+        profiler = Profiler()
+        server = make_server(
+            profiler=profiler,
+            max_batch_size=max_batch_size,
+            admission=_DropEveryThird() if drops else None,
+        )
+        if traffic == "stream":
+            arrivals = make_trace(n=40)
+        else:
+            arrivals = ClosedLoopClients(
+                num_clients=5, think_time_s=0.001, requests_per_client=6, seed=2
+            )
+        report = server.run(arrivals)
+        served = report.num_requests
+        offered = served + report.dropped_requests
+        batches = round(float(np.sum(1.0 / server.last_records.column("batch_sizes"))))
+        timers = batches if max_batch_size > 1 else 0
+        assert offered == (40 if traffic == "stream" else 30)
+        assert (report.dropped_requests > 0) == drops
+        assert profiler.events == offered + served + batches + timers
 
     def test_profiler_resets_between_runs(self, make_server, make_trace):
         profiler = Profiler()

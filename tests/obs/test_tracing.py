@@ -81,7 +81,7 @@ class TestSampling:
         server = make_server(observers=[tracer])
         trace_in = make_trace(n=40)
         report = server.run(trace_in)
-        all_ids = {request.request_id for request in trace_in}
+        all_ids = set(trace_in.request_ids.tolist())
         kept = {trace.request_id for trace in tracer.traces}
         assert kept == {rid for rid in all_ids if sampled(11, rid, 0.4)}
         assert len(kept) < len(all_ids)  # sampling actually thinned the set

@@ -208,10 +208,9 @@ def test_stream_shape(params) -> None:
         stream = process.stream(keys, count)
         assert isinstance(stream, ArrivalStream)
         assert len(stream) == count
-        assert stream.is_sorted
+        assert (np.diff(stream.times) >= 0).all()
         assert stream.request_ids.tolist() == list(range(count))
         assert set(stream.keys) <= set(keys)
-        assert process.trace(keys, count) == list(stream)
 
 
 @given(params=traffic, config=knobs)
@@ -294,7 +293,7 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     )
     process = PoissonArrivals(rate_rps=params["rate_rps"], seed=params["seed"])
     store_keys = [key for key, _, _ in _samples()]
-    report = fleet.run(process.trace(store_keys, params["num_requests"]))
+    report = fleet.run(process.stream(store_keys, params["num_requests"]))
 
     times = [event.time for event in fleet.last_events]
     assert times == sorted(times), "topology events must be time-ordered"

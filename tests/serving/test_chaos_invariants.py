@@ -145,7 +145,7 @@ def _trace(plan):
     process = PoissonArrivals(
         rate_rps=plan["rate_rps"], seed=plan["seed"], zipf_alpha=1.0
     )
-    return process.trace(_store().keys(), plan["num_requests"])
+    return process.stream(_store().keys(), plan["num_requests"])
 
 
 def _assert_conservation(plan, fleet: ShardedFleet, report) -> None:
@@ -395,7 +395,7 @@ def test_a_scale_in_decision_below_min_shards_adds_nothing() -> None:
         "degrades": [],
     }
     trace = _trace(plan)
-    horizon = trace[-1].arrival_time
+    horizon = float(trace.times[-1])
     fleet = ShardedFleet(
         [_server_factory(0), _server_factory(1)],
         ConsistentHashRouter(range(2), seed=11),

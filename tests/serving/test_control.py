@@ -197,7 +197,7 @@ class TestAdmissionInTheLoop:
     def test_overload_drops_and_conserves_offered_requests(
         self, control_store, backbone, read_policy
     ):
-        trace = PoissonArrivals(rate_rps=3000.0, seed=4, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=3000.0, seed=4, zipf_alpha=1.0).stream(
             control_store.keys(), 40
         )
         admission = EwmaAdmissionController(alpha=0.5, depth_threshold=3.0)
@@ -216,7 +216,7 @@ class TestAdmissionInTheLoop:
     def test_shedding_load_tightens_the_report_against_no_op(
         self, control_store, backbone, read_policy
     ):
-        trace = PoissonArrivals(rate_rps=3000.0, seed=4, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=3000.0, seed=4, zipf_alpha=1.0).stream(
             control_store.keys(), 40
         )
         rigid = make_server(
@@ -248,7 +248,7 @@ class TestAdmissionInTheLoop:
             def reset_counters(self):
                 self.dropped_requests = 0
 
-        trace = PoissonArrivals(rate_rps=500.0, seed=1).trace(control_store.keys(), 10)
+        trace = PoissonArrivals(rate_rps=500.0, seed=1).stream(control_store.keys(), 10)
         report = make_server(
             control_store, backbone, read_policy, admission=DropEverything()
         ).run(trace)
@@ -271,7 +271,7 @@ class TestNeverDropEquivalence:
     def test_non_dropping_ewma_matches_the_no_op_default(
         self, control_store, backbone, read_policy, alpha, threshold, latency_alpha
     ):
-        trace = PoissonArrivals(rate_rps=1500.0, seed=6, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=1500.0, seed=6, zipf_alpha=1.0).stream(
             control_store.keys(), 16
         )
         baseline = make_server(
@@ -408,7 +408,7 @@ class TestPrefetchInTheLoop:
     def bursty_trace(self, store, n=40):
         return OnOffArrivals(
             on_rate_rps=2000.0, mean_on_s=0.03, mean_off_s=0.15, seed=2, zipf_alpha=1.0
-        ).trace(store.keys(), n)
+        ).stream(store.keys(), n)
 
     def test_off_phase_prefetch_trades_store_bytes_for_prefetch_bytes(
         self, control_store, backbone, read_policy

@@ -70,7 +70,7 @@ def make_server(store, backbone, log=None, admission=None, **config):
 
 
 def trace_for(store, n=20):
-    return PoissonArrivals(rate_rps=800.0, seed=5, zipf_alpha=1.0).trace(store.keys(), n)
+    return PoissonArrivals(rate_rps=800.0, seed=5, zipf_alpha=1.0).stream(store.keys(), n)
 
 
 class TestStreamCompleteness:
@@ -110,7 +110,7 @@ class TestStreamCompleteness:
 
     def test_drops_are_narrated_with_reasons(self, event_store, backbone):
         log = EventLog()
-        trace = PoissonArrivals(rate_rps=4000.0, seed=4, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=4000.0, seed=4, zipf_alpha=1.0).stream(
             event_store.keys(), 30
         )
         report = make_server(

@@ -10,6 +10,7 @@ import json
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,8 +34,14 @@ from repro.serving.fleet import (
     load_imbalance_factor,
 )
 from repro.serving.metrics import RequestRecords, build_report
+from repro.serving.workload import ArrivalStream
 
 NUM_REQUESTS = 32
+
+
+def arrivals(stream):
+    """A stream's arrivals as ``(request id, key, time)`` tuples."""
+    return list(zip(stream.request_ids.tolist(), stream.keys, stream.times.tolist()))
 
 
 def fleet_config(num_shards=3, cache_bytes=150_000, overrides=None, **fleet_kwargs):
@@ -284,15 +291,14 @@ class TestFleetMechanics:
         sub_traces = fleet.partition(trace)  # shard id -> sub-stream
         assert list(sub_traces) == list(range(fleet.num_shards))
         merged = sorted(
-            (request for sub in sub_traces.values() for request in sub),
-            key=lambda request: request.request_id,
+            (arrival for sub in sub_traces.values() for arrival in arrivals(sub)),
+            key=lambda arrival: arrival[0],
         )
-        assert merged == sorted(trace, key=lambda request: request.request_id)
+        assert merged == arrivals(trace)
         for shard, sub in sub_traces.items():
             # Arrival order survives the split and keys route to this shard.
-            times = [request.arrival_time for request in sub]
-            assert times == sorted(times)
-            assert all(fleet.router.route(request.key) == shard for request in sub)
+            assert (np.diff(sub.times) >= 0).all()
+            assert all(fleet.router.route(key) == shard for key in sub.keys)
 
     def test_per_shard_overrides_specialize_servers(self):
         config = fleet_config(
@@ -318,7 +324,7 @@ class TestFleetMechanics:
         engine = Engine(fleet_config())
         fleet = engine.build_fleet()
         with pytest.raises(ValueError, match="empty trace"):
-            fleet.run([])
+            fleet.run(ArrivalStream(np.empty(0), []))
         with pytest.raises(ValueError, match="at least one server"):
             ShardedFleet([])
 

@@ -11,6 +11,11 @@ These tests hold it to outside references instead:
   ρD / (2(1 − ρ)); seeded exponential batch costs on c workers make it
   M/M/c, whose mean wait is Erlang C's.  The simulated mean wait must lie
   within ``K_STANDARD_ERRORS`` batch-means standard errors of the formula;
+* the size-or-deadline batcher — with ample workers nothing waits for
+  one, so each group is a renewal cycle: it opens at an arrival and
+  flushes at its deadline T or at the (b − 1)-th later arrival, whichever
+  comes first.  By renewal–reward its mean wait is closed-form
+  (:func:`batcher_wait`), checked by the same standard-error rule;
 * a static fleet — with one replica and keys drawn i.i.d. per arrival, the
   ring thins the Poisson stream into one independent Poisson stream per
   shard, at rate λ·p_s (p_s: the summed probability of the keys the ring
@@ -108,7 +113,12 @@ class _ExponentialBatchCost(BatchCostModel):
 
 
 def _queue_waits(
-    rate_rps: float, batch_cost: BatchCostModel, num_workers: int, seed: int
+    rate_rps: float,
+    batch_cost: BatchCostModel,
+    num_workers: int,
+    seed: int,
+    max_batch_size: int = 1,
+    max_wait_s: float = 0.0,
 ) -> np.ndarray:
     """Per-request queue waits (dispatch − ready), in arrival order."""
     server = InferenceServer(
@@ -116,7 +126,10 @@ def _queue_waits(
         _backbone(),
         StaticResolutionPolicy(24),
         ServerConfig(
-            resolutions=(24,), num_workers=num_workers, max_batch_size=1, max_wait_s=0.0
+            resolutions=(24,),
+            num_workers=num_workers,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
         ),
         batch_cost=batch_cost,
         bandwidth=StorageBandwidthModel(per_request_latency_s=0.0),
@@ -156,6 +169,22 @@ def erlang_c_wait(num_workers: int, rate_rps: float, mean_service_s: float) -> f
     head = sum(offered**k / math.factorial(k) for k in range(num_workers))
     waiting_probability = tail / (head + tail)
     return waiting_probability * mean_service_s / (num_workers - offered)
+
+
+def batcher_wait(rate_rps: float, max_wait_s: float, max_batch_size: int) -> float:
+    """Mean queue wait of Poisson arrivals in a size-or-deadline batcher
+    with ample workers: W = (1/λ)·Σ n·P(N ≥ n) / (1 + Σ P(N ≥ n)), the
+    sums over n = 1 … b − 1, with N ~ Poisson(λT)."""
+    mean = rate_rps * max_wait_s
+    probability = math.exp(-mean)  # P(N = 0)
+    tail = 1.0 - probability  # P(N ≥ 1)
+    total_wait = mean_size = 0.0
+    for n in range(1, max_batch_size):
+        total_wait += n * tail
+        mean_size += tail
+        probability *= mean / n  # P(N = n)
+        tail -= probability  # P(N ≥ n + 1)
+    return total_wait / (rate_rps * (1.0 + mean_size))
 
 
 class TestQueueingTheory:
@@ -208,6 +237,38 @@ class TestQueueingTheory:
     )
     def test_erlang_c_reference_values(self, num_workers, rate_rps, mean_service_s, expected):
         assert erlang_c_wait(num_workers, rate_rps, mean_service_s) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "rate_rps, max_wait_s, max_batch_size",
+        [(200.0, 0.005, 4), (3000.0, 0.001, 2), (500.0, 0.002, 8), (2000.0, 0.004, 6), (1000.0, 0.010, 16)],
+    )
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=2, **_DERANDOMIZED)
+    def test_batcher_mean_wait_matches_renewal_reward(
+        self, rate_rps, max_wait_s, max_batch_size, seed
+    ):
+        waits = _queue_waits(
+            rate_rps,
+            LinearBatchCost(per_item_seconds=1e-6, fixed_seconds=1e-6),
+            num_workers=256,
+            seed=seed,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+        )
+        _assert_mean_wait_matches(waits, batcher_wait(rate_rps, max_wait_s, max_batch_size))
+
+    @pytest.mark.parametrize(
+        "rate_rps, max_wait_s, max_batch_size, expected",
+        [
+            (200.0, 0.005, 4, 3.5451e-3),  # λT = 1
+            (200.0, 0.005, 1, 0.0),  # one-item batches never wait
+            (200.0, 1e3, 4, 3.0 / 400.0),  # T → ∞: (b − 1) / (2λ)
+        ],
+    )
+    def test_batcher_wait_reference_values(self, rate_rps, max_wait_s, max_batch_size, expected):
+        assert batcher_wait(rate_rps, max_wait_s, max_batch_size) == pytest.approx(
+            expected, rel=1e-4, abs=1e-12
+        )
 
 
 def _catalogue_store() -> ImageStore:

@@ -104,7 +104,7 @@ class TestDeterminism:
     def test_identical_configs_produce_identical_reports(
         self, serving_store, backbone, read_policy
     ):
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 40
         )
         first = run_trace(
@@ -120,8 +120,8 @@ class TestDeterminism:
         self, serving_store, backbone, read_policy
     ):
         keys = serving_store.keys()
-        a = PoissonArrivals(rate_rps=400.0, seed=5).trace(keys, 30)
-        b = PoissonArrivals(rate_rps=400.0, seed=6).trace(keys, 30)
+        a = PoissonArrivals(rate_rps=400.0, seed=5).stream(keys, 30)
+        b = PoissonArrivals(rate_rps=400.0, seed=6).stream(keys, 30)
         report_a = run_trace(serving_store, backbone, read_policy, a)
         report_b = run_trace(serving_store, backbone, read_policy, b)
         assert report_a != report_b
@@ -132,7 +132,7 @@ class TestCacheEffect:
         self, serving_store, backbone, read_policy
     ):
         """Acceptance criterion: same trace, with and without the cache tier."""
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 40
         )
         cached = run_trace(
@@ -158,7 +158,7 @@ class TestCacheEffect:
         run's cache bytes must equal the bytes a cache-less run of the same
         trace pulls from the store.
         """
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 20
         )
         cacheless = run_trace(serving_store, backbone, read_policy, trace, cache=None)
@@ -172,7 +172,7 @@ class TestCacheEffect:
         self, serving_store, backbone, read_policy
     ):
         """Regression: a second run() must not inherit the first run's tallies."""
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 20
         )
         policy = LoadAdaptiveResolutionPolicy(
@@ -196,7 +196,7 @@ class TestCacheEffect:
         assert 0.0 <= second.cache_hit_rate <= 1.0
 
     def test_transfer_cost_tracks_store_bytes(self, serving_store, backbone, read_policy):
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 30
         )
         cached = run_trace(
@@ -212,13 +212,13 @@ class TestServingBehaviour:
     ):
         trace = OnOffArrivals(
             on_rate_rps=800.0, mean_on_s=0.03, mean_off_s=0.1, seed=2
-        ).trace(serving_store.keys(), 30)
+        ).stream(serving_store.keys(), 30)
         report = run_trace(serving_store, backbone, read_policy, trace)
         assert report.num_requests == len(trace)
         assert sum(report.resolution_histogram.values()) == len(trace)
 
     def test_batches_respect_max_batch_size(self, serving_store, backbone, read_policy):
-        trace = PoissonArrivals(rate_rps=2000.0, seed=1).trace(serving_store.keys(), 24)
+        trace = PoissonArrivals(rate_rps=2000.0, seed=1).stream(serving_store.keys(), 24)
         server = InferenceServer(
             serving_store,
             backbone,
@@ -230,7 +230,7 @@ class TestServingBehaviour:
         assert 1.0 <= report.mean_batch_size <= 3.0
 
     def test_latency_percentiles_are_ordered(self, serving_store, backbone, read_policy):
-        trace = PoissonArrivals(rate_rps=600.0, seed=3).trace(serving_store.keys(), 30)
+        trace = PoissonArrivals(rate_rps=600.0, seed=3).stream(serving_store.keys(), 30)
         report = run_trace(serving_store, backbone, read_policy, trace)
         assert 0 < report.p50_latency_ms <= report.p95_latency_ms <= report.p99_latency_ms
         assert report.throughput_rps > 0
@@ -247,8 +247,43 @@ class TestServingBehaviour:
             make_config(num_workers=1),
             read_policy=read_policy,
         )
-        report = server.run_closed_loop(clients, serving_store.keys())
+        report = server.run(clients)
         assert report.num_requests == clients.total_requests
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_an_out_of_order_stream_is_served_stable_sorted(
+        self, serving_store, backbone, read_policy, observed
+    ):
+        """Arrivals given out of time order, ties included, are served in
+        time order with tied arrivals in stream order: report, records and
+        drops match the same arrivals stable-sorted."""
+        stream = PoissonArrivals(rate_rps=3000.0, seed=8, zipf_alpha=1.0).stream(
+            serving_store.keys(), 40
+        )
+        # Millisecond ticks put several arrivals on one time.
+        times = np.floor(stream.times * 1000.0) / 1000.0
+        order = np.random.default_rng(2).permutation(len(times))
+        shuffled = ArrivalStream(
+            times[order], [stream.keys[i] for i in order], stream.request_ids[order]
+        )
+        assert len(set(times.tolist())) < len(times)
+        in_order = shuffled.take(np.argsort(shuffled.times, kind="stable"))
+
+        def serve(arrivals):
+            server = InferenceServer(
+                serving_store,
+                backbone,
+                make_dynamic_policy(),
+                make_config(),
+                read_policy=read_policy,
+                cache=ScanCache(60_000),
+                admission=_DropSome(),
+                observers=[_Recorder()] if observed else (),
+            )
+            report = server.run(arrivals)
+            return report.to_json(), record_columns(server.last_records), server.last_dropped
+
+        assert serve(shuffled) == serve(in_order)
 
     def test_empty_trace_is_rejected(self, serving_store, backbone, read_policy):
         server = InferenceServer(
@@ -259,7 +294,7 @@ class TestServingBehaviour:
             read_policy=read_policy,
         )
         with pytest.raises(ValueError):
-            server.run([])
+            server.run(ArrivalStream(np.empty(0), []))
 
 
 class TestLoadAdaptation:
@@ -267,7 +302,7 @@ class TestLoadAdaptation:
         self, serving_store, backbone, read_policy
     ):
         """A slow single worker builds a deep queue; the adaptive policy sheds."""
-        trace = PoissonArrivals(rate_rps=2000.0, seed=4).trace(serving_store.keys(), 30)
+        trace = PoissonArrivals(rate_rps=2000.0, seed=4).stream(serving_store.keys(), 30)
 
         def run(policy):
             server = InferenceServer(
@@ -514,7 +549,7 @@ class TestReadPlans:
         rate_rps,
         num_requests,
     ):
-        trace = PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=rate_rps, seed=seed, zipf_alpha=1.0).stream(
             serving_store.keys(), num_requests
         )
         args = (serving_store, backbone, read_policy, policy_name, trace, observed)
@@ -562,7 +597,7 @@ class TestReadPlans:
     def test_a_swapped_link_gets_its_own_plans(self, serving_store, backbone, read_policy):
         """Degraded storage swaps ``server.bandwidth`` mid-life; plans made on
         the old link must not price reads on the new one."""
-        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).trace(
+        trace = PoissonArrivals(rate_rps=400.0, seed=5, zipf_alpha=1.0).stream(
             serving_store.keys(), 30
         )
         base = StorageBandwidthModel()
@@ -630,20 +665,20 @@ def serve_once(store, backbone, read_policy, feed, cache, policy_name, drops, se
         admission=_DropSome() if drops else None,
         observers=[recorder] if observed else (),
     )
-    keys = store.keys()
+    if feed == "closed-loop":
+        traffic = ClosedLoopClients(
+            num_clients=4,
+            think_time_s=0.002,
+            requests_per_client=5,
+            seed=seed,
+            zipf_alpha=1.0,
+        )
+    else:
+        traffic = PoissonArrivals(rate_rps=3000.0, seed=seed, zipf_alpha=1.0).stream(
+            store.keys(), 24
+        )
     with mock.patch.object(server_module, "Request", counting_request):
-        if feed == "closed-loop":
-            clients = ClosedLoopClients(
-                num_clients=4,
-                think_time_s=0.002,
-                requests_per_client=5,
-                seed=seed,
-                zipf_alpha=1.0,
-            )
-            report = server.run_closed_loop(clients, keys)
-        else:
-            stream = PoissonArrivals(rate_rps=3000.0, seed=seed, zipf_alpha=1.0).stream(keys, 24)
-            report = server.run(stream if feed == "stream" else list(stream))
+        report = server.run(traffic)
     completed = [e.record for e in recorder.events if isinstance(e, RequestCompleted)]
     return server, report, completed, built
 
@@ -662,7 +697,7 @@ class TestLeanPath:
         "feed, cache, policy_name, drops",
         list(
             itertools.product(
-                ["stream", "requests", "closed-loop"],
+                ["stream", "closed-loop"],
                 [False, True],
                 ["static-48", "dynamic", "adaptive-dynamic"],
                 [False, True],
@@ -719,7 +754,7 @@ class TestLeanPath:
             read_policy=read_policy,
             observers=[_Recorder()] if observed else (),
         )
-        report = server.run_closed_loop(clients, serving_store.keys())
+        report = server.run(clients)
         assert report.num_requests == clients.total_requests
         completed = {r.request_id: r.completion_time for r in server.last_served}
         # start() replays the same first round, so it names the first requests.

@@ -175,11 +175,11 @@ class TestRecorderRoundTrip:
         times, keys = stream
         recorder = TraceRecorder()
         self.feed(recorder, times, keys)
-        replayed = TraceReplayArrivals(records=tuple(recorder.records)).trace(
+        replayed = TraceReplayArrivals(records=tuple(recorder.records)).stream(
             KEYS, len(times)
         )
-        assert [request.arrival_time for request in replayed] == times
-        assert [request.key for request in replayed] == keys
+        assert replayed.times.tolist() == times
+        assert replayed.keys == keys
 
     @given(stream=arrival_streams())
     @settings(max_examples=25, deadline=None)
@@ -189,9 +189,9 @@ class TestRecorderRoundTrip:
         self.feed(recorder, times, keys)
         path = str(tmp_path_factory.mktemp("traces") / "round.jsonl")
         recorder.save(path)
-        replayed = TraceReplayArrivals(trace_path=path).trace(KEYS, len(times))
-        assert [request.arrival_time for request in replayed] == times
-        assert [request.key for request in replayed] == keys
+        replayed = TraceReplayArrivals(trace_path=path).stream(KEYS, len(times))
+        assert replayed.times.tolist() == times
+        assert replayed.keys == keys
 
     def test_admission_annotates_size_bytes(self):
         recorder = TraceRecorder()

@@ -11,6 +11,11 @@ from repro.serving.workload import DiurnalArrivals, TraceReplayArrivals
 KEYS = [f"img{i}" for i in range(8)]
 
 
+def columns(stream):
+    """A stream's arrivals as comparable lists: (times, keys, ids)."""
+    return stream.times.tolist(), stream.keys, stream.request_ids.tolist()
+
+
 def make_records(times, keys=None):
     keys = keys or [KEYS[i % len(KEYS)] for i in range(len(times))]
     return tuple(
@@ -22,45 +27,41 @@ class TestTraceReplay:
     def test_preserves_times_and_keys_exactly(self):
         times = [0.25, 0.5, 1.0, 1.125]
         records = make_records(times)
-        trace = TraceReplayArrivals(records=records).trace(KEYS, 4)
-        assert [request.arrival_time for request in trace] == times
-        assert [request.key for request in trace] == [r.key for r in records]
-        assert [request.request_id for request in trace] == [0, 1, 2, 3]
+        trace = TraceReplayArrivals(records=records).stream(KEYS, 4)
+        assert columns(trace) == (times, [r.key for r in records], [0, 1, 2, 3])
 
     def test_is_deterministic(self):
         records = make_records([0.1, 0.2, 0.9])
         process = TraceReplayArrivals(records=records, mode="loop")
-        assert process.trace(KEYS, 10) == process.trace(KEYS, 10)
+        assert columns(process.stream(KEYS, 10)) == columns(process.stream(KEYS, 10))
 
     def test_speedup_divides_timestamps(self):
         records = make_records([1.0, 2.0, 4.0])
-        trace = TraceReplayArrivals(records=records, speedup=4.0).trace(KEYS, 3)
-        assert [request.arrival_time for request in trace] == [0.25, 0.5, 1.0]
+        trace = TraceReplayArrivals(records=records, speedup=4.0).stream(KEYS, 3)
+        assert trace.times.tolist() == [0.25, 0.5, 1.0]
 
     def test_truncate_serves_at_most_the_trace(self):
         records = make_records([0.1, 0.2, 0.3])
-        trace = TraceReplayArrivals(records=records).trace(KEYS, 10)
+        trace = TraceReplayArrivals(records=records).stream(KEYS, 10)
         assert len(trace) == 3
 
     def test_loop_wraps_with_strictly_increasing_times(self):
         records = make_records([0.1, 0.2, 0.4])
-        trace = TraceReplayArrivals(records=records, mode="loop").trace(KEYS, 11)
+        trace = TraceReplayArrivals(records=records, mode="loop").stream(KEYS, 11)
         assert len(trace) == 11
-        times = [request.arrival_time for request in trace]
-        assert all(later > earlier for earlier, later in zip(times, times[1:]))
+        assert (np.diff(trace.times) > 0).all()
         # Keys cycle through the trace in order.
-        assert [request.key for request in trace[:3]] == [r.key for r in records]
-        assert [request.key for request in trace[3:6]] == [r.key for r in records]
+        assert trace.keys[:3] == trace.keys[3:6] == [r.key for r in records]
 
     def test_out_of_order_records_are_sorted_stably(self):
         records = make_records([0.5, 0.1, 0.3], keys=["img2", "img0", "img1"])
-        trace = TraceReplayArrivals(records=records).trace(KEYS, 3)
-        assert [request.key for request in trace] == ["img0", "img1", "img2"]
+        trace = TraceReplayArrivals(records=records).stream(KEYS, 3)
+        assert trace.keys == ["img0", "img1", "img2"]
 
     def test_unknown_trace_key_is_rejected(self):
         records = make_records([0.1, 0.2], keys=["img0", "mystery"])
         with pytest.raises(ValueError, match="mystery"):
-            TraceReplayArrivals(records=records).trace(KEYS, 2)
+            TraceReplayArrivals(records=records).stream(KEYS, 2)
 
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -79,18 +80,18 @@ class TestTraceReplay:
     def test_rejects_looping_a_zero_span_trace(self):
         records = make_records([0.5, 0.5])
         with pytest.raises(ValueError, match="zero-span"):
-            TraceReplayArrivals(records=records, mode="loop").trace(KEYS, 5)
+            TraceReplayArrivals(records=records, mode="loop").stream(KEYS, 5)
 
 
 class TestDiurnalArrivals:
     def test_is_deterministic_and_preserves_keys_and_count(self):
         base = PoissonArrivals(rate_rps=500.0, seed=3)
         process = DiurnalArrivals(base=base, period_s=0.5, amplitude=0.7)
-        first = process.trace(KEYS, 300)
-        second = process.trace(KEYS, 300)
-        assert first == second
+        first = process.stream(KEYS, 300)
+        second = process.stream(KEYS, 300)
+        assert columns(first) == columns(second)
         assert len(first) == 300
-        assert [r.key for r in first] == [r.key for r in base.trace(KEYS, 300)]
+        assert first.keys == base.stream(KEYS, 300).keys
 
     def test_times_stay_strictly_increasing(self):
         process = DiurnalArrivals(
@@ -99,14 +100,13 @@ class TestDiurnalArrivals:
             amplitude=0.9,
             envelope=(2.0, 0.3),
         )
-        times = [r.arrival_time for r in process.trace(KEYS, 500)]
-        assert all(later > earlier for earlier, later in zip(times, times[1:]))
+        assert (np.diff(process.stream(KEYS, 500).times) > 0).all()
 
     def test_sinusoid_concentrates_arrivals_in_the_peak_half(self):
         process = DiurnalArrivals(
             base=PoissonArrivals(rate_rps=1000.0, seed=2), period_s=1.0, amplitude=0.8
         )
-        phases = np.mod([r.arrival_time for r in process.trace(KEYS, 2000)], 1.0)
+        phases = np.mod(process.stream(KEYS, 2000).times, 1.0)
         peak = int(np.sum(phases < 0.5))  # sin > 0 half of the cycle
         trough = int(np.sum(phases >= 0.5))
         assert peak > 1.5 * trough
@@ -118,7 +118,7 @@ class TestDiurnalArrivals:
             amplitude=0.0,
             envelope=(3.0, 0.5),
         )
-        phases = np.mod([r.arrival_time for r in process.trace(KEYS, 2000)], 1.0)
+        phases = np.mod(process.stream(KEYS, 2000).times, 1.0)
         busy = int(np.sum(phases < 0.5))
         quiet = int(np.sum(phases >= 0.5))
         assert busy > 3 * quiet
@@ -126,8 +126,8 @@ class TestDiurnalArrivals:
     def test_amplitude_zero_and_flat_envelope_is_identity_within_grid_error(self):
         base = PoissonArrivals(rate_rps=800.0, seed=5)
         process = DiurnalArrivals(base=base, period_s=0.1, amplitude=0.0)
-        warped = np.array([r.arrival_time for r in process.trace(KEYS, 200)])
-        original = np.array([r.arrival_time for r in base.trace(KEYS, 200)])
+        warped = process.stream(KEYS, 200).times
+        original = base.stream(KEYS, 200).times
         assert np.allclose(warped, original, rtol=0, atol=1e-9)
 
     def test_extreme_quiet_envelope_never_collapses_the_tail(self):
@@ -143,11 +143,11 @@ class TestDiurnalArrivals:
             amplitude=0.0,
             envelope=(0.01,),
         )
-        times = [r.arrival_time for r in process.trace(KEYS, 200)]
-        assert all(later > earlier for earlier, later in zip(times, times[1:]))
+        times = process.stream(KEYS, 200).times
+        assert (np.diff(times) > 0).all()
         # Flat 0.01 multiplier ⇒ the warp stretches the span 100x.
-        base_span = PoissonArrivals(rate_rps=100.0, seed=0).trace(KEYS, 200)[-1]
-        assert times[-1] == pytest.approx(100.0 * base_span.arrival_time, rel=0.01)
+        base_span = PoissonArrivals(rate_rps=100.0, seed=0).stream(KEYS, 200).times[-1]
+        assert times[-1] == pytest.approx(100.0 * base_span, rel=0.01)
 
     def test_rate_multiplier_matches_the_formula(self):
         process = DiurnalArrivals(
@@ -222,7 +222,7 @@ class TestArrivalsConfigRealismKnobs:
         process = TraceReplayArrivals(trace_path=str(path))
         assert len(process.load_records()) == 3
         path.unlink()  # memoized: a second call must not re-read the file
-        assert len(process.trace(KEYS, 3)) == 3
+        assert len(process.stream(KEYS, 3)) == 3
 
     def test_diurnal_section_round_trips_through_json(self):
         config = ArrivalsConfig(
