@@ -65,30 +65,25 @@ class DynamicResolutionPolicy(ResolutionPolicy):
         self.predictor = predictor
         self.prefer_cheaper = prefer_cheaper
         self.name = "dynamic"
-        self.last_probabilities: np.ndarray | None = None
         self._select_memo: dict = {}
 
     def select(self, image: np.ndarray) -> int:
-        resolution, probabilities = self.predictor.choose_resolution(
+        resolution, _ = self.predictor.choose_resolution(
             image, prefer_cheaper=self.prefer_cheaper
         )
-        self.last_probabilities = probabilities
         return resolution
 
     def select_cached(self, image: np.ndarray, token: object) -> int:
         """Memoized :meth:`select`: the scale model is a pure function of the
         pixels, and the pixels are a pure function of the caller's token, so
-        repeated requests for the same stored prefix skip the forward pass.
-        ``last_probabilities`` is restored on hits exactly as a fresh call
-        would set it."""
-        hit = self._select_memo.get(token)
-        if hit is None:
-            resolution, probabilities = self.predictor.choose_resolution(
+        repeated requests for the same stored prefix skip the forward pass."""
+        resolution = self._select_memo.get(token)
+        if resolution is None:
+            resolution, _ = self.predictor.choose_resolution(
                 image, prefer_cheaper=self.prefer_cheaper
             )
-            hit = self._select_memo[token] = (resolution, probabilities)
-        self.last_probabilities = hit[1]
-        return hit[0]
+            self._select_memo[token] = resolution
+        return resolution
 
 
 @RESOLUTION_POLICIES.register("oracle")

@@ -152,13 +152,21 @@ def _drop_nones(data: dict) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
+def _bind_metrics(server, registry) -> None:
+    """Hand ``registry`` (None to unbind) to each policy defining ``bind_metrics``."""
+    for policy in (server.admission, server.prefetch, server.policy):
+        bind = getattr(policy, "bind_metrics", None)
+        if bind is not None:
+            bind(registry)
+
+
 class TelemetryPipeline:
     """The observability bundle one server run feeds.
 
     Construction mirrors :class:`~repro.api.config.ObservabilityConfig`:
     each of metrics / tracing / profiling can be disabled independently;
     ``sample_rate`` and ``seed`` make trace retention deterministic.
-    :meth:`attach` subscribes the observers, installs the profiler, and
+    :meth:`attach` subscribes the observers, attaches the profiler, and
     binds the metrics registry to the server's control-plane policies (so
     a policy can read ``registry.latest(...)`` instead of keeping shadow
     state); :meth:`detach` undoes all of it, leaving the server reusable.
@@ -212,22 +220,22 @@ class TelemetryPipeline:
 
     # -- server lifecycle --------------------------------------------------------
     def attach(self, server) -> None:
-        """Subscribe to ``server``'s stream and install the profiler."""
+        """Subscribe to ``server``'s stream, bind the registry, attach the profiler."""
         for observer in self.observers:
             server.subscribe(observer)
-        if self.profiler is not None:
-            server.profiler = self.profiler
         if self.collector is not None:
-            server.attach_metrics(self.collector.registry)
+            _bind_metrics(server, self.collector.registry)
+        if self.profiler is not None:
+            self.profiler.attach(server)
 
     def detach(self, server) -> None:
         """Undo :meth:`attach`, leaving the server clean for other runs."""
         for observer in self.observers:
             server.unsubscribe(observer)
-        if self.profiler is not None and server.profiler is self.profiler:
-            server.profiler = None
         if self.collector is not None:
-            server.attach_metrics(None)
+            _bind_metrics(server, None)
+        if self.profiler is not None:
+            self.profiler.detach(server)
 
     # -- merge -------------------------------------------------------------------
     def merge(self, other: "TelemetryPipeline") -> None:

@@ -41,7 +41,6 @@ import numpy as np
 from repro.serving.autoscale import AutoscalePolicy, LoadSignal
 from repro.serving.cache import CacheStats
 from repro.serving.events import (
-    ServerObserver,
     ShardAdded,
     ShardCrashed,
     ShardRecovered,
@@ -141,9 +140,9 @@ class Topology:
     ``servers`` are the initial shards (ids ``0..n-1``, as ``router``
     covers them); ``server_factory`` builds every later one — scale-outs
     and post-crash recoveries, both with a cold cache.  The steps mutate
-    ``router`` and emit their :class:`ShardAdded` & co. events to
-    ``observers`` and :attr:`events`; the counters and :attr:`fault_windows`
-    feed the elastic report columns.
+    ``router`` and record their :class:`ShardAdded` & co. events in
+    :attr:`events`; the counters and :attr:`fault_windows` feed the elastic
+    report columns.
     """
 
     def __init__(
@@ -151,11 +150,9 @@ class Topology:
         servers: Sequence[InferenceServer],
         router,
         server_factory: Callable[[int], InferenceServer] | None,
-        observers: Sequence[ServerObserver] = (),
     ) -> None:
         self.router = router
         self.server_factory = server_factory
-        self.observers = list(observers)
         self.live = {shard_id: _ShardState(server) for shard_id, server in enumerate(servers)}
         self.parked: dict[int, _ShardState] = {}  # crashed or retired shards' tallies
         self.next_shard_id = len(servers)
@@ -174,11 +171,6 @@ class Topology:
     def states(self) -> dict[int, _ShardState]:
         """Every shard that was ever live, by id."""
         return {**self.parked, **self.live}
-
-    def _emit(self, event) -> None:
-        self.events.append(event)
-        for observer in self.observers:
-            observer.on_event(event)
 
     # -- remap accounting --------------------------------------------------------
     def _routes(self) -> dict[str, Any]:
@@ -238,7 +230,7 @@ class Topology:
         self.crashes += 1
         self.open_windows[("crash", shard_id)] = len(self.fault_windows)
         self.fault_windows.append([time, math.inf])
-        self._emit(
+        self.events.append(
             ShardCrashed(
                 time=time,
                 shard_id=shard_id,
@@ -261,7 +253,7 @@ class Topology:
         self.recoveries += 1
         self.downtimes.append(downtime)
         self.fault_windows[self.open_windows.pop(("crash", shard_id))][1] = time
-        self._emit(
+        self.events.append(
             ShardRecovered(
                 time=time,
                 shard_id=shard_id,
@@ -281,7 +273,7 @@ class Topology:
             added = self._stranded_bytes(old_routes)
             self.rewarm_bytes += added
             self.shards_added += 1
-            self._emit(
+            self.events.append(
                 ShardAdded(
                     time=time,
                     shard_id=shard_id,
@@ -298,7 +290,7 @@ class Topology:
             stranded = self._stranded_bytes(old_routes)
             self.rewarm_bytes += stranded
             self.shards_removed += 1
-            self._emit(
+            self.events.append(
                 ShardRemoved(
                     time=time,
                     shard_id=shard_id,

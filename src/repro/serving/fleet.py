@@ -57,11 +57,10 @@ from repro.serving.elastic import (
     Topology,
     merge_cache_stats,
 )
-from repro.serving.events import ServerObserver
 from repro.serving.faults import FaultInjector, sort_schedule
 from repro.serving.metrics import RequestRecords, ServedRequest, SLOReport, build_report
 from repro.serving.server import InferenceServer
-from repro.serving.workload import ArrivalStream
+from repro.serving.workload import ArrivalStream, in_time_order
 
 _HASH_BITS = 64
 _HASH_SPACE = 1 << _HASH_BITS
@@ -375,18 +374,6 @@ def _p99_ms(latencies_ms: np.ndarray) -> float | None:
     return float(np.percentile(latencies_ms, 99)) if len(latencies_ms) else None
 
 
-def _arrival_order(stream: ArrivalStream) -> ArrivalStream:
-    """``stream`` sorted by (arrival time, request id).
-
-    A stream already in that order — every generated trace — is returned
-    as is, so a large trace is never copied.
-    """
-    order = np.lexsort((stream.request_ids, stream.times))
-    if np.array_equal(order, np.arange(len(order))):
-        return stream
-    return stream.take(order)
-
-
 # ---------------------------------------------------------------------------
 # The fleet
 # ---------------------------------------------------------------------------
@@ -410,10 +397,8 @@ class ShardedFleet:
     only toward the bound on its own side), or fault
     ``injectors``.  ``server_factory`` builds one fresh server per
     shard id for scale-outs (ids increase and are never reused) and for
-    post-crash recoveries, both with a cold cache.  ``observers`` receive
-    the topology events (:class:`~repro.serving.events.ShardAdded` & co.);
-    per-request events stay inside each shard's own loop.  An elastic run
-    returns an :class:`ElasticFleetReport`; every other run returns a plain
+    post-crash recoveries, both with a cold cache.  An elastic run returns
+    an :class:`ElasticFleetReport`; every other run returns a plain
     :class:`FleetReport`.
 
     After :meth:`run`, :attr:`last_records` (all completions, shard by
@@ -435,7 +420,6 @@ class ShardedFleet:
         min_shards: PositiveInt = 1,
         max_shards: PositiveInt = 16,
         injectors: Sequence[FaultInjector] = (),
-        observers: Sequence[ServerObserver] = (),
     ) -> None:
         if not servers:
             raise ValueError("a fleet needs at least one server")
@@ -476,7 +460,6 @@ class ShardedFleet:
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.injectors = list(injectors)
-        self.observers = list(observers)
         self.last_records = RequestRecords()
         self.last_dropped: list[tuple[Request, str]] = []
         self.last_events: list = []
@@ -541,11 +524,11 @@ class ShardedFleet:
         Shards share one simulated timeline, so merged windows align by
         index and fleet-wide per-window percentiles are true merges.
         """
-        pending = _arrival_order(trace)
+        pending = in_time_order(trace)
         if not len(pending):
             raise ValueError("cannot serve an empty trace")
         horizon = float(pending.times[-1])
-        topology = Topology(self.servers, self.router, self.server_factory, self.observers)
+        topology = Topology(self.servers, self.router, self.server_factory)
         faults = sort_schedule(
             event
             for injector in self.injectors
@@ -597,16 +580,16 @@ class ShardedFleet:
                 fault_index += 1
                 doomed = topology.apply(event)
                 if doomed:
-                    # Re-inject the failed work at the crash time, in
-                    # (time, id) order with everything still pending.
+                    # Re-inject the failed work at the crash time, in id
+                    # order, after the arrivals still pending at that time.
+                    doomed_ids = doomed.column("request_ids")
+                    by_id = np.argsort(doomed_ids, kind="stable")
                     times = np.concatenate(
                         [pending.times[cursor:], np.full(len(doomed), event.time)]
                     )
-                    ids = np.concatenate(
-                        [pending.request_ids[cursor:], doomed.column("request_ids")]
-                    )
-                    keys = pending.keys[cursor:] + doomed.keys
-                    pending = _arrival_order(ArrivalStream(times, keys, ids))
+                    ids = np.concatenate([pending.request_ids[cursor:], doomed_ids[by_id]])
+                    keys = pending.keys[cursor:] + [doomed.keys[index] for index in by_id]
+                    pending = in_time_order(ArrivalStream(times, keys, ids))
                     cursor = 0
             if boundary in epochs:
                 topology.autoscale_epoch(

@@ -76,8 +76,11 @@ every mechanism below:
   object's label, so the completion fold looks nothing up.  Whatever
   depends only on the server's configuration — static or dynamic policy,
   cache tier or read plans, the link's plan table, the policy's
-  queue-depth hook — is resolved once per run, not once per request, and
-  profiler scopes are entered only when a profiler is attached.
+  queue-depth hook — is resolved once per run, not once per request.
+
+Wall-clock profiling wraps the loop's collaborators from outside
+(:meth:`repro.obs.profiling.Profiler.attach`); a run leaves only its
+event count and final clock, in ``last_event_count`` and ``last_clock``.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ import itertools
 from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,7 +129,7 @@ from repro.serving.events import (
     ShardRemoved,
 )
 from repro.serving.metrics import RequestRecords, ServedRequest, SLOReport, build_report
-from repro.serving.workload import ArrivalStream
+from repro.serving.workload import ArrivalStream, in_time_order
 
 #: Topology events a single server never emits: the elastic fleet
 #: (:mod:`repro.serving.elastic`) raises them at segment boundaries, above
@@ -153,8 +156,6 @@ _READ_PLAN_LINK_LIMIT = 8
 #: run's RequestRecords; the bound keeps a long run's buffer from holding
 #: one tuple per request.
 _RECORD_BUFFER_ROWS = 1024
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,6 @@ class InferenceServer:
         admission: AdmissionPolicy | None = None,
         prefetch: PrefetchPolicy | None = None,
         observers: Sequence[ServerObserver] = (),
-        profiler=None,
     ) -> None:
         self.store = store
         self.backbone = backbone
@@ -296,9 +296,6 @@ class InferenceServer:
         # them as objects on demand).
         self.last_records = RequestRecords()
         self._last_served: list[ServedRequest] | None = None
-        # Wall-clock instrumentation (repro.obs.profiling.Profiler); None
-        # keeps its scopes off the hot path.
-        self.profiler = profiler
         # Memo tables over reproducible inputs (bounded LRU); they persist
         # across runs like cache contents do — the memoized stages are
         # pure, so reuse can never change a result.
@@ -334,34 +331,9 @@ class InferenceServer:
         except ValueError:
             pass
 
-    def attach_metrics(self, registry) -> None:
-        """Hand the telemetry metrics registry to the control-plane policies.
-
-        Called by :class:`~repro.obs.exporters.TelemetryPipeline` on attach
-        (and with ``None`` on detach); each policy that defines
-        ``bind_metrics`` gets the registry so it can publish gauges and read
-        windowed signals back.
-        """
-        for policy in (self.admission, self.prefetch, self.policy):
-            bind = getattr(policy, "bind_metrics", None)
-            if bind is not None:
-                bind(registry)
-
     def _emit(self, event: ServerEvent) -> None:
-        if self.profiler is not None:
-            with self.profiler.scope("observer-emit"):
-                for observer in self._observers:
-                    observer.on_event(event)
-            return
         for observer in self._observers:
             observer.on_event(event)
-
-    def _timed(self, name: str, call: Callable[..., _T], *args) -> _T:
-        """``call(*args)``, inside the profiler scope ``name`` when profiling is on."""
-        if self.profiler is None:
-            return call(*args)
-        with self.profiler.scope(name):
-            return call(*args)
 
     # -- results -----------------------------------------------------------------
     @property
@@ -385,8 +357,7 @@ class InferenceServer:
         self, key: str, num_scans: int, record: bool, already_read: int = 0
     ) -> tuple[np.ndarray, int]:
         """Read through the cache tier; returns (image, bytes_fetched)."""
-        args = (self.store, key, num_scans, record, already_read)
-        image, read = self._timed("storage-read", self.cache.read_through, *args)
+        image, read = self.cache.read_through(self.store, key, num_scans, record, already_read)
         fetched = read.bytes_fetched
         if fetched > 0:
             self.store_requests += 1
@@ -485,7 +456,7 @@ class InferenceServer:
             stage1 = self._stage1_plans.get(key)
             if stage1 is None or stage1[0] is not encoded:
                 scans = self.read_policy.scans_for(encoded, self.scale_resolution, key=key)
-                image, receipt = self._timed("storage-read", self.store.read, key, scans)
+                image, receipt = self.store.read(key, scans)
                 stage1 = self._stage1_plans[key] = (encoded, scans, image, receipt)
                 if len(self._stage1_plans) > _READ_PLAN_MEMO_LIMIT:
                     self._stage1_plans.popitem(last=False)
@@ -547,15 +518,13 @@ class InferenceServer:
         earlier: tuple[ReadReceipt, ...] = ()
         receipts: tuple[ReadReceipt, ...] = ()
         if stage1 is None:
-            image, receipt = self._timed("storage-read", self.store.read, key, scans)
+            image, receipt = self.store.read(key, scans)
             receipts = (receipt,)
         else:
             _, stage1_scans, image, stage1_receipt = stage1
             earlier = (stage1_receipt,)
             if scans > stage1_scans:
-                image, receipt = self._timed(
-                    "storage-read", self.store.read_additional, key, stage1_scans, scans
-                )
+                image, receipt = self.store.read_additional(key, stage1_scans, scans)
                 receipts = (receipt,)
             scans = max(stage1_scans, scans)
         fetched = [r.bytes_read for r in earlier + receipts if r.bytes_read > 0]
@@ -669,8 +638,7 @@ class InferenceServer:
                 push(request.arrival_time, _ARRIVAL, request)
         elif not len(traffic):
             raise ValueError("cannot serve an empty trace")
-        elif not (traffic.times[1:] >= traffic.times[:-1]).all():
-            traffic = traffic.take(np.argsort(traffic.times, kind="stable"))
+        traffic = in_time_order(traffic)
         times = array("d", traffic.times.tobytes())
         ids = array("q", traffic.request_ids.tobytes())
         keys = traffic.keys
@@ -725,19 +693,13 @@ class InferenceServer:
             self.policy.reset_counters()
         self.admission.reset_counters()
         self.prefetch.reset_counters()
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.reset()
-            profiler.start_run()
 
         def start_batch(resolution: int, items: list[_InFlight], now: float) -> None:
             nonlocal free_workers
             free_workers -= 1
             for item in items:
                 item.dispatch_time = now
-            latency = self._timed(
-                "batch-pricing", self.batch_cost.batch_seconds, resolution, len(items)
-            )
+            latency = self.batch_cost.batch_seconds(resolution, len(items))
             push(now + latency, _DONE, (resolution, items))
 
         def dispatch(resolution: int, items: list[_InFlight], now: float) -> None:
@@ -778,9 +740,7 @@ class InferenceServer:
                     continue
                 if kind == _DONE:
                     resolution, items = payload
-                    predictions = self._timed(
-                        "backbone-execute", self._execute, resolution, items
-                    ).tolist()
+                    predictions = self._execute(resolution, items).tolist()
                     batch_size = len(items)
                     for item, prediction in zip(items, predictions):
                         row = (
@@ -828,7 +788,7 @@ class InferenceServer:
                 last_arrival_time = now
                 actions = self.prefetch.plan(now, idle_s, self)
                 if actions:
-                    self._timed("prefetch", self._execute_prefetch, actions, now)
+                    self._execute_prefetch(actions, now)
             if needs_depth:
                 queue_depth = batcher.queue_depth + sum(
                     len(items) for _, items in dispatch_queue
@@ -876,11 +836,9 @@ class InferenceServer:
             push(in_flight.ready_time, _ENQUEUE, in_flight)
 
         records.extend_rows(rows)
-        if profiler is not None:
-            # Every arrival from the cursor, and every push, popped once.
-            profiler.events += num_pending + next(ticket)
-            profiler.completed_requests += len(records)
-            profiler.stop_run(sim_seconds=now)
+        # Events: every arrival from the cursor, and every push, popped once.
+        self.last_event_count = num_pending + next(ticket)
+        self.last_clock = now
 
         # Kept for composition layers (the fleets merge the raw records of
         # many servers into one fleet-wide report).

@@ -89,6 +89,16 @@ class ArrivalStream:
         return map(Request, self.request_ids.tolist(), self.keys, self.times.tolist())
 
 
+def in_time_order(stream: ArrivalStream) -> ArrivalStream:
+    """``stream`` stable-sorted by arrival time: tied arrivals keep their
+    stream order.  A stream already in order is returned as is, so a large
+    trace is never copied."""
+    times = stream.times
+    if (times[1:] >= times[:-1]).all():
+        return stream
+    return stream.take(np.argsort(times, kind="stable"))
+
+
 @ARRIVALS.register("replay")
 @dataclass(frozen=True)
 class TraceReplayArrivals(ArrivalProcess):

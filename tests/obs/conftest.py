@@ -36,7 +36,6 @@ def make_server(obs_store, obs_backbone):
         admission=None,
         prefetch=None,
         observers=(),
-        profiler=None,
         policy=None,
         **config,
     ):
@@ -61,7 +60,6 @@ def make_server(obs_store, obs_backbone):
             admission=admission,
             prefetch=prefetch,
             observers=observers,
-            profiler=profiler,
         )
 
     return _make

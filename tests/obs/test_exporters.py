@@ -115,14 +115,16 @@ class TestPipeline:
         pipeline.attach(server)
         server.run(make_trace(n=16))
         pipeline.detach(server)
-        assert server.profiler is None
+        assert "run" not in vars(server)
         assert pipeline.collector not in server._observers
         assert pipeline.tracer not in server._observers
         assert admission._metrics is None
         # A detached pipeline stops accumulating.
         arrivals = pipeline.collector.registry.counter("arrivals")
+        profile = pipeline.profiler.stats()
         server.run(make_trace(n=16))
         assert pipeline.collector.registry.counter("arrivals") == arrivals
+        assert pipeline.profiler.stats() == profile
 
     def test_ewma_gauge_matches_the_controller_state(self, make_server, make_trace):
         """bind_metrics publishes the controller's own smoothed depth."""

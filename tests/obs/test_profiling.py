@@ -1,4 +1,4 @@
-"""Profiler tests: self-time accounting, merging, and server integration."""
+"""Profiler tests: self-time accounting, merging, attach/detach, and server integration."""
 
 import time
 
@@ -17,44 +17,44 @@ class _DropEveryThird(AdmissionPolicy):
         return AdmissionDecision.admit()
 
 
-class TestScopes:
-    def test_nested_scopes_report_self_time(self):
-        profiler = Profiler()
-        with profiler.scope("outer"):
-            time.sleep(0.02)
-            with profiler.scope("inner"):
-                time.sleep(0.02)
-        inner = profiler.self_seconds["inner"]
-        outer = profiler.self_seconds["outer"]
-        assert inner >= 0.02
-        # The child's elapsed time was subtracted from the parent's slot.
-        assert outer >= 0.015
-        assert outer < 0.04
+def _boom():
+    raise RuntimeError("boom")
 
-    def test_repeated_scopes_accumulate(self):
+
+class TestWrap:
+    def test_nested_calls_report_self_time(self):
         profiler = Profiler()
+        inner = profiler.wrap("inner", lambda: time.sleep(0.02))
+
+        def outer():
+            time.sleep(0.02)
+            inner()
+
+        profiler.wrap("outer", outer)()
+        inner_s = profiler.self_seconds["inner"]
+        outer_s = profiler.self_seconds["outer"]
+        assert inner_s >= 0.02
+        # The child's elapsed time was subtracted from the parent's slot.
+        assert outer_s >= 0.015
+        assert outer_s < 0.04
+
+    def test_repeated_calls_accumulate(self):
+        profiler = Profiler()
+        work = profiler.wrap("work", lambda: time.sleep(0.005))
         for _ in range(3):
-            with profiler.scope("work"):
-                time.sleep(0.005)
+            work()
         assert profiler.self_seconds["work"] >= 0.015
 
-    def test_scope_survives_exceptions(self):
+    def test_wrap_survives_exceptions(self):
         profiler = Profiler()
         with pytest.raises(RuntimeError):
-            with profiler.scope("boom"):
-                raise RuntimeError("boom")
+            profiler.wrap("boom", _boom)()
         assert "boom" in profiler.self_seconds
         assert profiler._stack == []
 
-    def test_self_times_sum_to_at_most_wall_time(self):
-        profiler = Profiler()
-        profiler.start_run()
-        with profiler.scope("a"):
-            time.sleep(0.01)
-            with profiler.scope("b"):
-                time.sleep(0.01)
-        profiler.stop_run(sim_seconds=1.0)
-        assert sum(profiler.self_seconds.values()) <= profiler.wall_seconds + 1e-6
+    def test_arguments_and_keywords_pass_through(self):
+        call = Profiler().wrap("call", lambda *args, **kwargs: (args, kwargs))
+        assert call(1, 2, record=False) == ((1, 2), {"record": False})
 
 
 class TestStats:
@@ -67,11 +67,10 @@ class TestStats:
 
     def test_stats_rates(self):
         profiler = Profiler()
-        profiler.start_run()
-        time.sleep(0.01)
+        profiler.wall_seconds = 0.01
         profiler.events = 100
         profiler.completed_requests = 10
-        profiler.stop_run(sim_seconds=0.5)
+        profiler.sim_seconds = 0.5
         stats = profiler.stats()
         assert stats.events == 100
         assert stats.events_per_sec == pytest.approx(100 / stats.wall_seconds)
@@ -82,22 +81,83 @@ class TestStats:
     def test_merge_sums_everything(self):
         left, right = Profiler(), Profiler()
         for profiler, events in ((left, 10), (right, 30)):
-            profiler.start_run()
+            profiler.wall_seconds = 0.5
             profiler.events = events
             profiler.completed_requests = events // 2
-            profiler.stop_run(sim_seconds=0.1)
+            profiler.sim_seconds = 0.1
             profiler.self_seconds["storage-read"] = 0.01
         left.merge(right)
+        assert left.wall_seconds == pytest.approx(1.0)
         assert left.events == 40
         assert left.completed_requests == 20
         assert left.sim_seconds == pytest.approx(0.2)
         assert left.self_seconds["storage-read"] == pytest.approx(0.02)
 
 
-class TestServerIntegration:
-    def test_server_run_populates_the_profiler(self, make_server, make_trace):
+@pytest.fixture
+def attach():
+    """Attach a fresh profiler to a server; each is detached at teardown, so
+    no wrapper outlives its test on the shared store."""
+    attached = []
+
+    def _attach(server) -> Profiler:
         profiler = Profiler()
-        server = make_server(profiler=profiler)
+        profiler.attach(server)
+        attached.append((profiler, server))
+        return profiler
+
+    yield _attach
+    for profiler, server in reversed(attached):
+        profiler.detach(server)
+
+
+class TestAttach:
+    def test_detach_restores_every_instance_dict(self, make_server, attach):
+        server = make_server()
+        owners = (server, server.store, server.cache, server.batch_cost)
+        before = [dict(vars(owner)) for owner in owners]
+        profiler = attach(server)
+        assert [dict(vars(owner)) for owner in owners] != before
+        profiler.detach(server)
+        assert [dict(vars(owner)) for owner in owners] == before
+
+    def test_a_wrapper_already_in_place_comes_back(self, make_server, make_trace, attach):
+        server = make_server()
+        store = server.store
+        outer = Profiler()
+        store.read = earlier = outer.wrap("earlier-read", store.read)
+        try:
+            profiler = attach(server)
+            server.run(make_trace(n=16))
+            profiler.detach(server)
+            assert vars(store)["read"] is earlier
+        finally:
+            del store.read
+        # The profiler wrapped the earlier wrapper; it did not replace it.
+        assert "earlier-read" in outer.self_seconds
+        assert "storage-read" in profiler.self_seconds
+
+    def test_attaching_twice_raises(self, make_server, attach):
+        server = make_server()
+        profiler = attach(server)
+        with pytest.raises(RuntimeError, match="already attached"):
+            profiler.attach(make_server())
+        profiler.detach(server)
+        profiler.attach(server)
+
+    def test_detach_from_another_server_is_a_no_op(self, make_server, attach):
+        server, other = make_server(), make_server()
+        profiler = attach(server)
+        profiler.detach(other)
+        assert "run" in vars(server)
+        profiler.detach(server)
+        assert "run" not in vars(server)
+
+
+class TestServerIntegration:
+    def test_server_run_populates_the_profiler(self, make_server, make_trace, attach):
+        server = make_server()
+        profiler = attach(server)
         report = server.run(make_trace(n=24))
         stats = profiler.stats()
         assert stats.completed_requests == report.num_requests
@@ -109,22 +169,22 @@ class TestServerIntegration:
         for name in ("storage-read", "batch-pricing", "backbone-execute"):
             assert name in stats.self_seconds, name
             assert stats.self_seconds[name] >= 0.0
+        assert sum(stats.self_seconds.values()) <= stats.wall_seconds
 
     @pytest.mark.parametrize("drops", [False, True])
     @pytest.mark.parametrize("traffic", ["stream", "closed-loop"])
     @pytest.mark.parametrize("max_batch_size", [1, 4])
     def test_events_are_arrivals_enqueues_completions_and_timers(
-        self, make_server, make_trace, max_batch_size, traffic, drops
+        self, make_server, make_trace, attach, max_batch_size, traffic, drops
     ):
         """One event per arrival, per admitted request's enqueue and per
         batch's completion, plus one flush timer per batch when a batch
         can hold more than one request."""
-        profiler = Profiler()
         server = make_server(
-            profiler=profiler,
             max_batch_size=max_batch_size,
             admission=_DropEveryThird() if drops else None,
         )
+        profiler = attach(server)
         if traffic == "stream":
             arrivals = make_trace(n=40)
         else:
@@ -140,9 +200,9 @@ class TestServerIntegration:
         assert (report.dropped_requests > 0) == drops
         assert profiler.events == offered + served + batches + timers
 
-    def test_profiler_resets_between_runs(self, make_server, make_trace):
-        profiler = Profiler()
-        server = make_server(profiler=profiler)
+    def test_profiler_resets_between_runs(self, make_server, make_trace, attach):
+        server = make_server()
+        profiler = attach(server)
         trace = make_trace(n=16)
         server.run(trace)
         first = profiler.stats()
@@ -152,8 +212,10 @@ class TestServerIntegration:
         assert second.events == first.events
         assert second.completed_requests == first.completed_requests
 
-    def test_profiled_run_report_is_unchanged(self, make_server, make_trace):
+    def test_profiled_run_report_is_unchanged(self, make_server, make_trace, attach):
         trace = make_trace(n=24)
         bare = make_server().run(trace)
-        profiled = make_server(profiler=Profiler()).run(trace)
+        server = make_server()
+        attach(server)
+        profiled = server.run(trace)
         assert bare.to_json() == profiled.to_json()

@@ -37,6 +37,9 @@ from repro.serving.metrics import RequestRecords, build_report
 from repro.serving.workload import ArrivalStream
 
 NUM_REQUESTS = 32
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "examples" / "configs"
+BURSTY_CONFIG = CONFIG_DIR / "serving_bursty.json"
+SHARDED_CONFIG = CONFIG_DIR / "serving_sharded.json"
 
 
 def arrivals(stream):
@@ -154,6 +157,22 @@ class TestSingleShardEquivalence:
         assert fleet_report.fleet.format() == server_report.format()
         assert fleet_report.load_imbalance == 1.0
 
+    def test_tied_arrivals_keep_the_servers_order(self):
+        """An out-of-order stream with tied times: the fleet, like the
+        server, serves it stable-sorted by time, so tied arrivals keep
+        their stream order and both reports agree."""
+        engine = Engine(EngineConfig.from_dict(json.loads(BURSTY_CONFIG.read_text())))
+        stream = engine.build_trace()
+        order = np.random.default_rng(0).permutation(len(stream))
+        ticks = np.floor(stream.times * 1e3) / 1e3  # 1 ms ticks
+        shuffled = ArrivalStream(
+            ticks[order], [stream.keys[index] for index in order], stream.request_ids[order]
+        )
+        assert len(np.unique(shuffled.times)) < len(shuffled)
+        server_report = engine.build_server().run(shuffled)
+        fleet_report = ShardedFleet([engine.build_server()]).run(shuffled)
+        assert fleet_report.fleet == server_report
+
 
 #: One store and backbone for every hypothesis example (rendering and
 #: encoding the catalogue dominates runtime; serving never mutates them).
@@ -248,9 +267,6 @@ class TestStaticFleetSemantics:
         )
 
 
-SHARDED_CONFIG = (
-    Path(__file__).resolve().parents[2] / "examples" / "configs" / "serving_sharded.json"
-)
 
 
 class TestNoOpBoundaries:

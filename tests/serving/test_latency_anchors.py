@@ -11,6 +11,11 @@ These tests hold it to outside references instead:
   ρD / (2(1 − ρ)); seeded exponential batch costs on c workers make it
   M/M/c, whose mean wait is Erlang C's.  The simulated mean wait must lie
   within ``K_STANDARD_ERRORS`` batch-means standard errors of the formula;
+* closed-loop clients — N clients thinking an exponential time Z between
+  a completion and their next request, a constant transfer d and one
+  worker with exponential one-item service S form a product-form closed
+  network, whose mean latency exact mean-value analysis gives
+  (:func:`closed_loop_latency`);
 * the size-or-deadline batcher — with ample workers nothing waits for
   one, so each group is a renewal cycle: it opens at an arrival and
   flushes at its deadline T or at the (b − 1)-th later arrival, whichever
@@ -41,7 +46,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.codec.progressive import ProgressiveEncoder
@@ -51,7 +56,7 @@ from repro.imaging.synthetic import SceneSpec, render_scene
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.resnet import resnet_tiny
 from repro.obs.metrics import MetricsCollector
-from repro.serving.arrivals import OnOffArrivals, PoissonArrivals
+from repro.serving.arrivals import ClosedLoopClients, OnOffArrivals, PoissonArrivals
 from repro.serving.batcher import BatchCostModel, LinearBatchCost
 from repro.serving.cache import ScanCache
 from repro.serving.fleet import ShardedFleet
@@ -81,6 +86,9 @@ _DERANDOMIZED = dict(
     derandomize=True,
     database=None,
     deadline=None,
+    # No shrink phase: a failing example is reported as drawn, instead of
+    # re-running a 20k-arrival simulation for every shrink step.
+    phases=(Phase.explicit, Phase.generate),
     suppress_health_check=[HealthCheck.too_slow],
 )
 
@@ -149,14 +157,15 @@ def _queue_waits(
     return records.column("dispatch_times")[order] - ready
 
 
-def _assert_mean_wait_matches(waits: np.ndarray, expected_s: float) -> None:
-    """Arrival-ordered ``waits`` fall into ``NUM_BATCHES`` consecutive batches
-    of (nearly) equal size; their means give the standard error."""
-    batch_means = np.array([batch.mean() for batch in np.array_split(waits, NUM_BATCHES)])
+def _assert_mean_matches(samples: np.ndarray, expected_s: float) -> None:
+    """Arrival-ordered ``samples`` (waits or latencies) fall into
+    ``NUM_BATCHES`` consecutive batches of (nearly) equal size; their means
+    give the standard error."""
+    batch_means = np.array([batch.mean() for batch in np.array_split(samples, NUM_BATCHES)])
     standard_error = batch_means.std(ddof=1) / math.sqrt(NUM_BATCHES)
-    deviation = float(waits.mean()) - expected_s
+    deviation = float(samples.mean()) - expected_s
     assert abs(deviation) <= K_STANDARD_ERRORS * standard_error, (
-        f"mean wait {waits.mean():.6g} s vs theory {expected_s:.6g} s: "
+        f"mean {samples.mean():.6g} s vs theory {expected_s:.6g} s: "
         f"{deviation / standard_error:+.2f} standard errors"
     )
 
@@ -187,6 +196,51 @@ def batcher_wait(rate_rps: float, max_wait_s: float, max_batch_size: int) -> flo
     return total_wait / (rate_rps * (1.0 + mean_size))
 
 
+def closed_loop_latency(
+    num_clients: int, think_s: float, service_s: float, transfer_s: float
+) -> float:
+    """Mean latency of N closed-loop clients (think time Z, constant transfer
+    d, one exponential server S), by exact mean-value analysis (Reiser &
+    Lavenberg 1980): from Q(0) = 0, R(n) = S·(1 + Q(n − 1)),
+    X(n) = n / (Z + d + R(n)) and Q(n) = X(n)·R(n); the latency is d + R(N)."""
+    queue = 0.0
+    for clients in range(1, num_clients + 1):
+        response = service_s * (1.0 + queue)
+        queue = clients * response / (think_s + transfer_s + response)
+    return transfer_s + response
+
+
+def _closed_loop_latencies(
+    num_clients: int, think_s: float, service_s: float, seed: int
+) -> tuple[np.ndarray, float]:
+    """The middle 80 % by arrival of one closed-loop run's latencies, and its
+    constant transfer time."""
+    server = InferenceServer(
+        _one_key_store(),
+        _backbone(),
+        StaticResolutionPolicy(24),
+        ServerConfig(resolutions=(24,), num_workers=1, max_batch_size=1, max_wait_s=0.0),
+        batch_cost=_ExponentialBatchCost(service_s, seed=seed + 1),
+    )
+    clients = ClosedLoopClients(
+        num_clients,
+        think_time_s=think_s,
+        requests_per_client=NUM_ARRIVALS // num_clients,
+        seed=seed,
+    )
+    server.run(clients)
+    records = server.last_records
+    assert len(records) == clients.total_requests
+    order = np.argsort(records.column("arrival_times"), kind="stable")
+    arrivals = records.column("arrival_times")[order]
+    # One key and no cache: every request reads the same bytes.
+    transfer = records.column("ready_times")[order] - arrivals
+    assert np.ptp(transfer) < 1e-12
+    latencies = records.column("completion_times")[order] - arrivals
+    trim = len(latencies) // 10  # the start-up and drain transients
+    return latencies[trim : len(latencies) - trim], float(transfer[0])
+
+
 class TestQueueingTheory:
     @given(
         utilization=st.floats(min_value=0.1, max_value=0.85),
@@ -206,7 +260,7 @@ class TestQueueingTheory:
             seed=seed,
         )
         expected = utilization * service_s / (2.0 * (1.0 - utilization))
-        _assert_mean_wait_matches(waits, expected)
+        _assert_mean_matches(waits, expected)
 
     @given(
         num_workers=st.integers(min_value=1, max_value=3),
@@ -226,7 +280,7 @@ class TestQueueingTheory:
             num_workers=num_workers,
             seed=seed,
         )
-        _assert_mean_wait_matches(waits, erlang_c_wait(num_workers, rate_rps, service_s))
+        _assert_mean_matches(waits, erlang_c_wait(num_workers, rate_rps, service_s))
 
     @pytest.mark.parametrize(
         "num_workers, rate_rps, mean_service_s, expected",
@@ -255,7 +309,7 @@ class TestQueueingTheory:
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
         )
-        _assert_mean_wait_matches(waits, batcher_wait(rate_rps, max_wait_s, max_batch_size))
+        _assert_mean_matches(waits, batcher_wait(rate_rps, max_wait_s, max_batch_size))
 
     @pytest.mark.parametrize(
         "rate_rps, max_wait_s, max_batch_size, expected",
@@ -268,6 +322,39 @@ class TestQueueingTheory:
     def test_batcher_wait_reference_values(self, rate_rps, max_wait_s, max_batch_size, expected):
         assert batcher_wait(rate_rps, max_wait_s, max_batch_size) == pytest.approx(
             expected, rel=1e-4, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "num_clients, think_s, service_s",
+        [(5, 0.010, 0.002), (10, 0.010, 0.001), (20, 0.005, 0.0004), (3, 0.001, 0.001)],
+    )
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=2, **_DERANDOMIZED)
+    def test_closed_loop_mean_latency_matches_mean_value_analysis(
+        self, num_clients, think_s, service_s, seed
+    ):
+        # Over 16 seeds (20-35) at each point, the deviation in batch-means
+        # standard errors had mean -0.07 to -0.28 and spread 0.91 to 1.18:
+        # the error estimate runs up to ~1.2x narrow for this loop, so 5
+        # standard errors here are at least ~4 true ones.
+        latencies, transfer_s = _closed_loop_latencies(num_clients, think_s, service_s, seed)
+        _assert_mean_matches(
+            latencies, closed_loop_latency(num_clients, think_s, service_s, transfer_s)
+        )
+
+    @pytest.mark.parametrize(
+        "num_clients, think_s, service_s, transfer_s, expected",
+        [
+            (3, 0.001, 0.001, 0.0, 2.2e-3),
+            (5, 0.010, 0.002, 0.0, 3.983429e-3),
+            (1, 0.010, 0.002, 0.0005, 2.5e-3),  # one client never queues: S + d
+        ],
+    )
+    def test_closed_loop_reference_values(
+        self, num_clients, think_s, service_s, transfer_s, expected
+    ):
+        assert closed_loop_latency(num_clients, think_s, service_s, transfer_s) == pytest.approx(
+            expected, rel=1e-6
         )
 
 
@@ -334,10 +421,10 @@ def test_fleet_shard_waits_match_pollaczek_khinchine(num_shards, zipf_alpha, rat
             continue
         utilization = rate_rps * share * service_s
         expected = utilization * service_s / (2.0 * (1.0 - utilization))
-        _assert_mean_wait_matches(_arrival_ordered_waits(server.last_records), expected)
+        _assert_mean_matches(_arrival_ordered_waits(server.last_records), expected)
         expected_fleet += share * expected
     assert report.fleet.num_requests == NUM_ARRIVALS
-    _assert_mean_wait_matches(_arrival_ordered_waits(fleet.last_records), expected_fleet)
+    _assert_mean_matches(_arrival_ordered_waits(fleet.last_records), expected_fleet)
 
 
 # ---------------------------------------------------------------------------
